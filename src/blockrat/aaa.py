@@ -1,8 +1,11 @@
-"""Greedy AAA drivers: scalar AAA, set-valued AAA, and surrogate AAA.
+"""The greedy AAA loop and its scalar-weight fitters: scalar, set-valued and
+surrogate AAA.
 
-All three share the same greedy loop: pick the worst-approximated sample
-point, promote it to a support point, and re-solve a linearized least
-squares problem for common scalar barycentric weights.
+Every AAA-family fitter, block-AAA included, runs `_greedy_driver`: pick the
+worst-approximated sample point, promote it to a support point, and re-solve
+a linearized least squares problem for the barycentric weights.  A family
+supplies only its weight solve, its barycentric form with the order-0
+fallback weights, its per-point error and its underdetermination guard.
 """
 
 from dataclasses import dataclass
@@ -10,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barycentric import BlockBaryA, ScalarBarycentric
-from .core import ParameterError
+from .core import EvaluationError, ParameterError, SampleSet
 
 __all__ = [
     "AaaOptions",
@@ -41,57 +44,77 @@ class AaaOptions:
             raise ParameterError("tolerance must be >= 0")
 
 
-def _greedy_driver(points, values, opts, solve_weights, make_model, err_of):
-    """Shared AAA loop over matrix samples `values` of shape (ell, m, n).
+def _greedy_driver(samples, opts, solve_weights, make_model, fallback_weights, err_of, rows_needed):
+    """Shared AAA loop over a SampleSet; returns (model, error trace, skipped).
 
-    solve_weights(rem_pts, rem_vals, nodes, node_vals) -> scalar weight vector
+    solve_weights(rest, nodes, node_vals) -> weights, from the remaining samples
     make_model(nodes, weights, node_vals) -> evaluator
+    fallback_weights(k) -> weights of an order-0 model on k support points
     err_of(residual matrix) -> scalar error
+    rows_needed(j) -> remaining points the order-j weight solve needs
+
+    Points where the current model raises EvaluationError are skipped for
+    selection in that iteration and recorded as (iteration, point) pairs.
     """
-    ell = points.size
-    if ell == 0:
-        raise ParameterError("empty sample set")
+    points, values = samples.points, samples.values
     scale = max(err_of(v) for v in values)
     threshold = opts.tol * scale if opts.relative else opts.tol
 
-    remaining = np.ones(ell, dtype=bool)
+    remaining = np.ones(samples.ell, dtype=bool)
     mean = values.mean(axis=0)
     model = None
     sel: list[int] = []
+    trace: list[float] = []
+    skipped: list[tuple[int, complex]] = []
 
     while True:
         idx = np.flatnonzero(remaining)
-        errs = np.empty(idx.size)
+        errs = np.full(idx.size, -np.inf)
         for t, i in enumerate(idx):
-            approx = mean if model is None else model(points[i])
+            try:
+                approx = mean if model is None else model(points[i])
+            except EvaluationError:
+                skipped.append((len(sel), complex(points[i])))
+                continue
             errs[t] = err_of(values[i] - approx)
+        if not np.any(np.isfinite(errs)):
+            return model, trace, skipped
         pick = idx[int(np.argmax(errs))]  # argmax takes the lowest index on ties
-        if model is not None and errs.max() <= threshold:
-            return model
+        trace.append(float(errs.max()))
+        if model is not None and trace[-1] <= threshold:
+            return model, trace, skipped
         sel.append(pick)
         remaining[pick] = False
         j = len(sel) - 1  # current order
         rem = np.flatnonzero(remaining)
-        if rem.size < j + 1:
+        if rem.size < rows_needed(j):
             # weight LS becomes underdetermined; keep the previous model
-            return model if model is not None else make_model(
-                points[sel], np.ones(len(sel)), values[sel]
-            )
-        w = solve_weights(points[rem], values[rem], points[sel], values[sel])
+            if model is None:
+                model = make_model(points[sel], fallback_weights(len(sel)), values[sel])
+            return model, trace, skipped
+        w = solve_weights(samples.subset(rem), points[sel], values[sel])
         model = make_model(points[sel], w, values[sel])
         if j >= opts.max_order:
-            return model
+            return model, trace, skipped
 
 
-def _stacked_loewner_weights(rem_pts, rem_vals, nodes, node_vals):
+def _stacked_loewner_weights(rest, nodes, node_vals):
     """Common weights: trailing right singular vector of the stacked
     entrywise Loewner matrices (one per matrix entry, over remaining points)."""
-    L = (rem_vals[:, None, :, :] - node_vals[None, :, :, :]) / (
-        rem_pts[:, None, None, None] - nodes[None, :, None, None]
+    L = (rest.values[:, None, :, :] - node_vals[None, :, :, :]) / (
+        rest.points[:, None, None, None] - nodes[None, :, None, None]
     )  # (ell', j+1, m, n)
     A = L.transpose(2, 3, 0, 1).reshape(-1, nodes.size)
     _, _, vh = np.linalg.svd(A, full_matrices=False)
     return vh[-1].conj()
+
+
+def _scalar_weight_fit(samples, opts, make_model, err_of):
+    """Greedy fit with common scalar weights; needs j+1 remaining points at order j."""
+    model, _, _ = _greedy_driver(
+        samples, opts, _stacked_loewner_weights, make_model, np.ones, err_of, lambda j: j + 1
+    )
+    return model
 
 
 def aaa_scalar(points, values, opts=AaaOptions()):
@@ -100,30 +123,17 @@ def aaa_scalar(points, values, opts=AaaOptions()):
     values = np.asarray(values, dtype=complex).ravel()
     if points.size != values.size:
         raise ParameterError("points and values must have equal length")
-    if len(np.unique(points)) != points.size:
-        raise ParameterError("sample points must be pairwise distinct")
-    vmat = values.reshape(-1, 1, 1)
-    model = _greedy_driver(
-        points,
-        vmat,
+    return _scalar_weight_fit(
+        SampleSet(points, values),
         opts,
-        _stacked_loewner_weights,
         lambda nodes, w, fv: ScalarBarycentric(nodes, w, fv[:, 0, 0]),
         lambda r: float(np.abs(r).max()),
     )
-    return model
 
 
 def set_valued_aaa(samples, opts=AaaOptions()):
     """AAA with common support points and weights for all matrix entries."""
-    return _greedy_driver(
-        samples.points,
-        samples.values,
-        opts,
-        _stacked_loewner_weights,
-        BlockBaryA,
-        lambda r: float(np.linalg.norm(r, "fro")),
-    )
+    return _scalar_weight_fit(samples, opts, BlockBaryA, lambda r: float(np.linalg.norm(r, "fro")))
 
 
 def surrogate_aaa(samples, a, b, opts=AaaOptions()):

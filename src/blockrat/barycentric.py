@@ -264,13 +264,9 @@ def solve_weights_baryC(samples, nodes):
     d1 = nodes.size
     ell = samples.ell
     inv = 1.0 / (samples.points[None, :] - nodes[:, None])  # (d+1, ell)
-    top = np.zeros((d1 * n, ell * n), dtype=complex)
-    bot = np.zeros((d1 * m, ell * n), dtype=complex)
-    eye = np.eye(n)
-    for k in range(d1):
-        for i in range(ell):
-            top[k * n : (k + 1) * n, i * n : (i + 1) * n] = -inv[k, i] * eye
-            bot[k * m : (k + 1) * m, i * n : (i + 1) * n] = inv[k, i] * samples.values[i]
+    # (k, i) blocks -inv[k, i] * I and inv[k, i] * F(lambda_i)
+    top = ((-inv)[:, None, :, None] * np.eye(n)[None, :, None, :]).reshape(d1 * n, ell * n)
+    bot = (inv[:, None, :, None] * samples.values.transpose(1, 0, 2)[None]).reshape(d1 * m, ell * n)
     W = trailing_left_singular_block(np.vstack([top, bot]), m)
     C = np.stack([W[:, k * n : (k + 1) * n] for k in range(d1)])
     D = np.stack([W[:, d1 * n + k * m : d1 * n + (k + 1) * m] for k in range(d1)])

@@ -1,18 +1,18 @@
-"""Greedy construction of matrix-weight barycentric approximants (block-AAA).
+"""Block-AAA: the greedy AAA loop with matrix weights (bary-B form).
 
 Unlike the set-valued and surrogate AAA variants, the denominator here is a
-matrix-valued sum, so an order-d model can carry up to d*m poles.  The greedy
-loop mirrors scalar AAA but measures errors in the Frobenius norm and solves
-for a full weight-matrix stack at every iteration.
+matrix-valued sum, so an order-d model can carry up to d*m poles.  Block-AAA
+runs the shared loop of `aaa._greedy_driver` with the bary-B weight solve,
+Frobenius-norm errors, and a guard that keeps going while any sample row
+remains.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aaa import AaaOptions
+from .aaa import AaaOptions, _greedy_driver
 from .barycentric import BlockBaryB, solve_weights_baryB
-from .core import EvaluationError, ParameterError
 
 __all__ = ["BlockAaaResult", "block_aaa"]
 
@@ -24,6 +24,10 @@ class BlockAaaResult:
     skipped: list = field(default_factory=list)  # (iteration, point) pairs with singular denominators
 
 
+def _block_weights(rest, nodes, node_vals):
+    return np.stack(solve_weights_baryB(rest, list(zip(nodes, node_vals))))
+
+
 def block_aaa(samples, opts=AaaOptions()):
     """Fit a BlockBaryB model by greedy support selection.
 
@@ -31,48 +35,13 @@ def block_aaa(samples, opts=AaaOptions()):
     Points where the current denominator sum is numerically singular are
     skipped for selection in that iteration and recorded as diagnostics.
     """
-    ell = samples.ell
-    if ell == 0:
-        raise ParameterError("empty sample set")
-    m, n = samples.shape
-    scale = max(np.linalg.norm(F, "fro") for F in samples.values)
-    threshold = opts.tol * scale if opts.relative else opts.tol
-
-    remaining = np.ones(ell, dtype=bool)
-    mean = samples.values.mean(axis=0)
-    model = None
-    sel: list[int] = []
-    trace: list[float] = []
-    skipped: list[tuple[int, complex]] = []
-
-    while True:
-        idx = np.flatnonzero(remaining)
-        errs = np.full(idx.size, -np.inf)
-        for t, i in enumerate(idx):
-            try:
-                approx = mean if model is None else model(samples.points[i])
-            except EvaluationError:
-                skipped.append((len(sel), complex(samples.points[i])))
-                continue
-            errs[t] = np.linalg.norm(samples.values[i] - approx, "fro")
-        if not np.any(np.isfinite(errs)):
-            return BlockAaaResult(model, trace, skipped)
-        pick = idx[int(np.argmax(errs))]  # ties resolve to the lowest index
-        maxerr = float(errs.max())
-        trace.append(maxerr)
-        if model is not None and maxerr <= threshold:
-            return BlockAaaResult(model, trace, skipped)
-        sel.append(pick)
-        remaining[pick] = False
-        j = len(sel) - 1
-        rem = np.flatnonzero(remaining)
-        if rem.size == 0:
-            if model is None:
-                W = np.tile(np.eye(m) / np.sqrt(len(sel) * m), (len(sel), 1, 1))
-                model = BlockBaryB(samples.points[sel], W, samples.values[sel])
-            return BlockAaaResult(model, trace, skipped)
-        support = list(zip(samples.points[sel], samples.values[sel]))
-        weights = solve_weights_baryB(samples.subset(rem), support)
-        model = BlockBaryB(samples.points[sel], np.stack(weights), samples.values[sel])
-        if j >= opts.max_order:
-            return BlockAaaResult(model, trace, skipped)
+    m = samples.shape[0]
+    return BlockAaaResult(*_greedy_driver(
+        samples,
+        opts,
+        _block_weights,
+        BlockBaryB,
+        lambda k: np.tile(np.eye(m) / np.sqrt(k * m), (k, 1, 1)),
+        lambda r: float(np.linalg.norm(r, "fro")),
+        lambda j: 1,
+    ))

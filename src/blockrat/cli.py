@@ -24,8 +24,6 @@ from .loewner import loewner_block
 from .rkfit import RkfitOptions, rkfit_fit
 from .vecfit import VfOptions, vf_matrix
 
-METHODS = ("aaa-scalar", "set-valued-aaa", "surrogate-aaa", "block-aaa", "vf", "rkfit", "loewner")
-
 __all__ = [
     "Problem",
     "RunRecord",
@@ -174,30 +172,41 @@ def load_samples(path):
     return SampleSet(points, values)
 
 
+def _aaa_scalar(samples, opts, **_):
+    if samples.shape != (1, 1):
+        raise ParameterError("aaa-scalar requires 1x1 samples")
+    return aaa_scalar(samples.points, samples.values[:, 0, 0], opts), []
+
+
+def _block_aaa(samples, opts, **_):
+    result = block_aaa(samples, opts)
+    return result.model, result.errors
+
+
+def _rkfit(samples, order, iters, **_):
+    result = rkfit_fit(samples, RkfitOptions(degree=order, iterations=iters))
+    return result.model, result.rmse_trace
+
+
+# method name -> fit(samples, order=, opts=AaaOptions, iters=, seed=) -> (evaluator, trace)
+_FITTERS = {
+    "aaa-scalar": _aaa_scalar,
+    "set-valued-aaa": lambda s, opts, **_: (set_valued_aaa(s, opts), []),
+    "surrogate-aaa": lambda s, opts, seed, **_: (surrogate_aaa(s, *random_directions(*s.shape, seed), opts), []),
+    "block-aaa": _block_aaa,
+    "vf": lambda s, order, iters, **_: (vf_matrix(s, order, VfOptions(iterations=iters)), []),
+    "rkfit": _rkfit,
+    "loewner": lambda s, order, **_: (loewner_block(s, order), []),
+}
+METHODS = tuple(_FITTERS)
+
+
 def _fit_method(method, samples, order, tol, iters, seed):
     """Fit one (method, order) cell; returns (evaluator, trace)."""
-    m, n = samples.shape
     opts = AaaOptions(tol=tol, max_order=order)
-    if method == "aaa-scalar":
-        if (m, n) != (1, 1):
-            raise ParameterError("aaa-scalar requires 1x1 samples")
-        return aaa_scalar(samples.points, samples.values[:, 0, 0], opts), []
-    if method == "set-valued-aaa":
-        return set_valued_aaa(samples, opts), []
-    if method == "surrogate-aaa":
-        a, b = random_directions(m, n, seed)
-        return surrogate_aaa(samples, a, b, opts), []
-    if method == "block-aaa":
-        result = block_aaa(samples, opts)
-        return result.model, result.errors
-    if method == "vf":
-        return vf_matrix(samples, order, VfOptions(iterations=iters)), []
-    if method == "rkfit":
-        result = rkfit_fit(samples, RkfitOptions(degree=order, iterations=iters))
-        return result.model, result.rmse_trace
-    if method == "loewner":
-        return loewner_block(samples, order), []
-    raise ParameterError(f"unknown method {method!r} (choose from {METHODS})")
+    if method not in _FITTERS:
+        raise ParameterError(f"unknown method {method!r} (choose from {METHODS})")
+    return _FITTERS[method](samples, order=order, opts=opts, iters=iters, seed=seed)
 
 
 def run_sweep(problem, methods, orders, tol=1e-13, iters=5, seed=0, repeats=20,

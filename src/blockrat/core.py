@@ -6,7 +6,7 @@ point.  Fitted models are "evaluators": callables mapping a complex scalar z
 to an m-by-n complex matrix (1x1 for scalar data).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

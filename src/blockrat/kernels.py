@@ -5,6 +5,7 @@ fitters rely on: descending singular values, minimum-norm least squares,
 (alpha, beta) generalized eigenvalue pairs, and companion-matrix roots.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +60,14 @@ def trailing_left_singular_block(M, m):
 
 
 def lstsq(A, B):
-    """Minimum-norm least squares solution of A X = B."""
+    """Minimum-norm least squares solution of A X = B; warns if A is rank-deficient."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     B = np.asarray(B, dtype=complex)
     if A.shape[0] != B.shape[0]:
         raise ParameterError(f"row mismatch: A has {A.shape[0]}, B has {B.shape[0]}")
-    X, _, _, _ = np.linalg.lstsq(A, B, rcond=None)
+    X, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
+    if rank < A.shape[1]:
+        warnings.warn("rank-deficient least squares; using the minimum-norm solution")
     return X
 
 

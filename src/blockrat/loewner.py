@@ -1,9 +1,8 @@
 """Loewner framework: data partition, (shifted) Loewner assembly, and
 truncated-SVD projection to a small (Er, Ar, Br, Cr) realization.
 
-Scalar data uses the samples directly; block data is tangentially compressed
-with left/right direction vectors (standard basis vectors cycled by default)
-before the same scalar machinery applies.
+Block data is tangentially compressed with left/right direction vectors
+(standard basis vectors cycled by default); scalar data is the 1x1 case.
 """
 
 import warnings
@@ -11,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .barycentric import COND_LIMIT
 from .core import EvaluationError, ParameterError, SampleSet
 from .kernels import finite_eigenvalues, svd_full
 
@@ -61,17 +61,6 @@ def partition(points, values):
     return SampleSet(points[left], values[left]), SampleSet(points[right], values[right])
 
 
-def _assemble(x, vx, y, vy):
-    """Loewner and shifted Loewner matrices from tangential scalar data.
-
-    vx, vy are the (compressed) scalar samples at the left/right points.
-    """
-    denom = x[:, None] - y[None, :]
-    L = (vx[:, None] - vy[None, :]) / denom
-    Ls = (x[:, None] * vx[:, None] - y[None, :] * vy[None, :]) / denom
-    return L, Ls
-
-
 def _project(L, Ls, V, W, d):
     svd = svd_full(L)
     if d > L.shape[0]:
@@ -93,13 +82,7 @@ def _project(L, Ls, V, W, d):
 
 def loewner_scalar(points, values, d):
     """Scalar Loewner fit of target order d; returns a 1x1 LoewnerModel."""
-    left, right = partition(points, values)
-    x, y = left.points, right.points
-    fx, fy = left.values[:, 0, 0], right.values[:, 0, 0]
-    L, Ls = _assemble(x, fx, y, fy)
-    V = fx[:, None]  # column of left samples
-    W = fy[None, :]  # row of right samples
-    return _project(L, Ls, V, W, d)
+    return loewner_block(SampleSet(points, values), d)
 
 
 def _cycled_basis(count, dim):
@@ -138,7 +121,7 @@ def loewner_block(samples, d, directions=None):
 def eval_loewner(model, z):
     """R(z) = Cr (Ar - z Er)^-1 Br; raises on a singular resolvent."""
     A = model.Ar - z * model.Er
-    if np.linalg.cond(A) > 1e14:
+    if np.linalg.cond(A) > COND_LIMIT:
         raise EvaluationError(f"singular Loewner resolvent at z = {z}")
     return model.Cr @ np.linalg.solve(A, model.Br)
 

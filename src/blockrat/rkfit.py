@@ -17,7 +17,7 @@ import numpy as np
 from .core import NumericalError, ParameterError
 from .kernels import lstsq
 from .linearize import bary_poly_weights, build_pencil, pencil_eigs
-from .vecfit import PoleResidue, _dedupe
+from .vecfit import PoleResidue, _cauchy, _dedupe, _fit_residues
 
 __all__ = ["RkfitOptions", "RationalBasis", "RkfitResult", "build_basis", "relocate_poles", "rkfit_fit"]
 
@@ -133,8 +133,7 @@ def relocate_poles(basis, sample_functions):
         # refit vhat in the partial-fraction basis of the current poles and
         # take its zeros; far better conditioned than polynomial root-finding
         # from values once a full pole set exists
-        A = np.column_stack([np.ones(V.shape[0])] + [1.0 / (basis.points - xi) for xi in basis.poles])
-        coef = lstsq(A, vhat)
+        coef = lstsq(np.column_stack([np.ones(V.shape[0]), _cauchy(basis.points, basis.poles)]), vhat)
         delta, gamma = coef[0], coef[1:]
         if abs(delta) > 1e-13 * np.max(np.abs(coef)):
             roots = np.linalg.eigvals(np.diag(basis.poles) - np.outer(np.ones(basis.degree), gamma / delta))
@@ -142,15 +141,6 @@ def relocate_poles(basis, sample_functions):
             return _dedupe(roots)
     roots = _polynomial_roots_from_values(basis.points, pvals, basis.degree, basis.scale)
     return _dedupe(roots)
-
-
-def _final_fit(points, values, poles):
-    ell, m, n = values.shape
-    A = np.column_stack([np.ones(ell)] + [1.0 / (points - xi) for xi in poles])
-    X = lstsq(A, values.reshape(ell, m * n))
-    D = X[0].reshape(m, n)
-    C = X[1:].reshape(len(poles), m, n)
-    return PoleResidue(D, poles, C)
 
 
 @dataclass(frozen=True)
@@ -181,7 +171,7 @@ def rkfit_fit(samples, opts):
     for _ in range(opts.iterations):
         basis = build_basis(samples.points, poles, degree=d)
         poles = relocate_poles(basis, fs)
-        model = _final_fit(samples.points, samples.values, poles)
+        model = _fit_residues(samples.points, samples.values, poles)
         trace.append(rmse(samples, model))
         poles_trace.append(poles.copy())
     return RkfitResult(model, trace, poles_trace)

@@ -7,12 +7,13 @@ matrix extension stacks all m*n entries into one fit sharing a common
 denominator (symmetry of the data is not required).
 """
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EvaluationError, ParameterError
+from .barycentric import _support_tol
+from .core import EvaluationError, ParameterError, SampleSet
+from .kernels import lstsq
 
 __all__ = ["PoleResidue", "VfOptions", "vf_scalar", "vf_matrix", "initial_poles"]
 
@@ -45,12 +46,25 @@ class PoleResidue:
 
     def __call__(self, z):
         if self.poles.size:
-            dist = np.abs(z - self.poles)
-            tol = 10 * np.finfo(float).eps * max(np.max(np.abs(self.poles)), 1.0)
-            if dist.min() <= tol:
+            if np.abs(z - self.poles).min() <= _support_tol(self.poles):
                 raise EvaluationError(f"evaluation at a pole: z = {z}")
             return self.const + np.tensordot(1.0 / (z - self.poles), self.residues, axes=(0, 0))
         return self.const.copy()
+
+
+def _cauchy(points, poles):
+    return 1.0 / (points[:, None] - poles[None, :])
+
+
+def _fit_residues(points, values, poles):
+    """Least-squares constant and residues of a PoleResidue with fixed poles.
+
+    `values` has shape (ell, m, n); every entry is fitted in the partial-
+    fraction basis [1, 1/(z - xi_1), ..., 1/(z - xi_d)] of `poles`.
+    """
+    ell, m, n = values.shape
+    X = lstsq(np.column_stack([np.ones(ell), _cauchy(points, poles)]), values.reshape(ell, m * n))
+    return PoleResidue(X[0].reshape(m, n), poles, X[1:].reshape(poles.size, m, n))
 
 
 @dataclass(frozen=True)
@@ -101,39 +115,22 @@ def _stabilize(poles):
     return _dedupe(poles)
 
 
-def _cauchy(points, poles):
-    return 1.0 / (points[:, None] - poles[None, :])
-
-
-def _solve_ls(A, b):
-    sol, res, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if rank < A.shape[1]:
-        warnings.warn("rank-deficient VF least squares; using minimum-norm solution")
-    return sol
-
-
 def vf_scalar(points, values, d, opts=VfOptions()):
     """Vector fitting for scalar data; returns a 1x1 PoleResidue model."""
     points = np.asarray(points, dtype=complex).ravel()
     values = np.asarray(values, dtype=complex).ravel()
     if points.size != values.size:
         raise ParameterError("points and values must have equal length")
-    if points.size < 2 * d + 1:
-        raise ParameterError(f"need at least {2 * d + 1} samples for degree {d}")
-    samples = values.reshape(-1, 1, 1)
-    return _vf_common(points, samples, d, opts)
+    return vf_matrix(SampleSet(points, values), d, opts)
 
 
 def vf_matrix(samples, d, opts=VfOptions()):
     """Matrix fitting with a common denominator over all m*n entries."""
     if samples.ell < 2 * d + 1:
         raise ParameterError(f"need at least {2 * d + 1} samples for degree {d}")
-    return _vf_common(samples.points, samples.values, d, opts)
-
-
-def _vf_common(points, values, d, opts):
+    points, values = samples.points, samples.values
     ell = points.size
-    m, n = values.shape[1], values.shape[2]
+    m, n = samples.shape
     ne = m * n
     fs = values.reshape(ell, ne)  # one column-major sample vector per point
 
@@ -161,15 +158,9 @@ def _vf_common(points, values, d, opts):
             A[rows, cols] = np.column_stack([P, np.ones(ell)])
             A[rows, ne * (d + 1) :] = -fs[:, e][:, None] * P
             rhs[rows] = fs[:, e]
-        sol = _solve_ls(A, rhs)
+        sol = lstsq(A, rhs)
         poles = _relocate(poles, sol[ne * (d + 1) :])
         if opts.enforce_stability:
             poles = _stabilize(poles)
 
-    # final residue fit with the poles fixed
-    P = _cauchy(points, poles)
-    A = np.column_stack([np.ones(ell), P])
-    X = _solve_ls(A, fs)  # (d+1, ne)
-    D = X[0].reshape(m, n)
-    C = X[1:].reshape(d, m, n)
-    return PoleResidue(D, poles, C)
+    return _fit_residues(points, values, poles)

@@ -27,3 +27,10 @@ def scalar_onepole():
 def constant_samples(G, ell=8):
     pts = logspace_imaginary(1, 10, ell)
     return SampleSet(pts, np.tile(np.asarray(G, dtype=complex), (ell, 1, 1)))
+
+
+def random_samples(ell, seed=0):
+    """ell random 2x2 complex samples on a log grid up the imaginary axis."""
+    rng = np.random.default_rng(seed)
+    pts = logspace_imaginary(1, 10, max(ell, 2))[:ell]
+    return SampleSet(pts, rng.normal(size=(ell, 2, 2)) + 1j * rng.normal(size=(ell, 2, 2)))

@@ -12,6 +12,8 @@ from blockrat import (
     set_valued_aaa,
     surrogate_aaa,
 )
+from blockrat.cli import problem_scalar_noise
+from tests.conftest import random_samples
 
 
 class TestAaaScalar:
@@ -64,14 +66,17 @@ class TestSetValuedAaa:
         assert rmse(s, r) <= 1e-13
 
     def test_scalar_reduction(self, scalar_onepole):
-        pts, f = scalar_onepole
-        s = SampleSet(pts, f)
-        rs = aaa_scalar(pts, f)
-        rv = set_valued_aaa(s)
-        assert np.array_equal(np.sort_complex(rs.nodes), np.sort_complex(rv.nodes))
-        ratio = rv.weights / rs.weights
-        assert np.allclose(ratio, ratio[0], rtol=1e-10)
-        assert abs(abs(ratio[0]) - 1) <= 1e-10
+        noisy = problem_scalar_noise().samples
+        cases = [(*scalar_onepole, AaaOptions())] + [
+            (noisy.points, noisy.values[:, 0, 0], AaaOptions(max_order=d)) for d in (5, 10, 15)
+        ]
+        for pts, f, opts in cases:
+            rs = aaa_scalar(pts, f, opts)
+            rv = set_valued_aaa(SampleSet(pts, f), opts)
+            assert np.array_equal(np.sort_complex(rs.nodes), np.sort_complex(rv.nodes))
+            ratio = rv.weights / rs.weights
+            assert np.allclose(ratio, ratio[0], rtol=1e-10)
+            assert abs(abs(ratio[0]) - 1) <= 1e-10
 
     def test_toy_common_denominator_degree6(self, toy1):
         r = set_valued_aaa(toy1.samples, AaaOptions(max_order=6))
@@ -80,6 +85,18 @@ class TestSetValuedAaa:
     def test_support_points_never_reselected(self, toy1):
         r = set_valued_aaa(toy1.samples, AaaOptions(max_order=6))
         assert len(np.unique(r.nodes)) == r.nodes.size
+
+
+class TestTinyInputs:
+    """With tol=0 the loop stops only when the weight solve runs out of rows:
+    scalar weights need j+1 remaining rows at order j."""
+
+    @pytest.mark.parametrize("ell, order", [(1, 0), (2, 0), (3, 0), (4, 1), (5, 1), (6, 2)])
+    def test_scalar_weight_orders(self, ell, order):
+        s = random_samples(ell)
+        opts = AaaOptions(tol=0.0)
+        assert aaa_scalar(s.points, s.values[:, 0, 0], opts).order == order
+        assert set_valued_aaa(s, opts).order == order
 
 
 class TestSurrogateAaa:

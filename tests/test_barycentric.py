@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import blockrat.barycentric as bary
 from blockrat import (
     BlockBaryA,
     BlockBaryB,
@@ -206,6 +207,22 @@ class TestSolveWeightsBaryC:
         s = SampleSet([1j, 2j], np.zeros((2, 2, 3)))
         with pytest.raises(ParameterError):
             solve_weights_baryC(s, [3j])
+
+    def test_stacked_matrix_matches_block_loop(self, toy2, monkeypatch):
+        # reference: fill the (k, i) blocks one at a time; bytes compared, signed zeros included
+        s, nodes = toy2.samples.subset(range(3, 40)), toy2.samples.points[:3]
+        seen = []
+        solve = bary.trailing_left_singular_block
+        monkeypatch.setattr(bary, "trailing_left_singular_block", lambda M, m: seen.append(M) or solve(M, m))
+        solve_weights_baryC(s, nodes)
+        inv = 1.0 / (s.points[None, :] - nodes[:, None])
+        top = np.zeros((3 * 2, s.ell * 2), dtype=complex)
+        bot = np.zeros((3 * 2, s.ell * 2), dtype=complex)
+        for k in range(3):
+            for i in range(s.ell):
+                top[2 * k : 2 * k + 2, 2 * i : 2 * i + 2] = -inv[k, i] * np.eye(2)
+                bot[2 * k : 2 * k + 2, 2 * i : 2 * i + 2] = inv[k, i] * s.values[i]
+        assert seen[0].tobytes() == np.vstack([top, bot]).tobytes()
 
 
 class TestInterpolationInvariants:

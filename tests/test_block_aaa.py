@@ -3,6 +3,7 @@ import pytest
 
 from blockrat import AaaOptions, ParameterError, SampleSet, block_aaa, logspace_imaginary, rmse
 from blockrat.linearize import build_pencil, pencil_eigs
+from tests.conftest import random_samples
 
 
 class TestBlockAaa:
@@ -50,3 +51,17 @@ class TestBlockAaa:
     def test_empty_samples_rejected(self):
         with pytest.raises((ParameterError, ValueError)):
             block_aaa(SampleSet([], np.zeros((0, 1, 1))))
+
+    def test_toy1_order5_trace_pinned(self, toy1):
+        res = block_aaa(toy1.samples, AaaOptions(max_order=5))
+        want = [1.2368276046687692, 1.599038070252105, 0.13520041704928767,
+                0.014156428686110334, 0.0005558941250810562, 1.040428903690979e-05]
+        assert res.errors == pytest.approx(want, rel=1e-9)
+        assert res.skipped == []
+        assert res.model.order == 5
+
+    @pytest.mark.parametrize("ell, order", [(1, 0), (2, 0), (3, 1), (4, 2), (5, 3), (6, 4)])
+    def test_tiny_input_orders(self, ell, order):
+        # block-AAA keeps going while any sample row remains
+        res = block_aaa(random_samples(ell), AaaOptions(tol=0.0))
+        assert res.model.order == order
