@@ -28,14 +28,13 @@ __all__ = [
 class AaaOptions:
     """Stopping control for the greedy AAA loop.
 
-    tol is compared against the greedy error; with relative=True it is scaled
-    by the largest sample norm.  max_order bounds the barycentric order
-    (number of support points minus one).
+    tol, scaled by the largest sample norm, is compared against the greedy
+    error.  max_order bounds the barycentric order (number of support points
+    minus one).
     """
 
     tol: float = 1e-13
     max_order: int = 100
-    relative: bool = True
 
     def __post_init__(self):
         if self.max_order < 0:
@@ -57,8 +56,7 @@ def _greedy_driver(samples, opts, solve_weights, make_model, fallback_weights, e
     selection in that iteration and recorded as (iteration, point) pairs.
     """
     points, values = samples.points, samples.values
-    scale = max(err_of(v) for v in values)
-    threshold = opts.tol * scale if opts.relative else opts.tol
+    threshold = opts.tol * max(err_of(v) for v in values)
 
     remaining = np.ones(samples.ell, dtype=bool)
     mean = values.mean(axis=0)

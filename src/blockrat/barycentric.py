@@ -18,11 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EvaluationError, ParameterError
-from .kernels import trailing_left_singular_block
-
-# matrix "inverses" are linear solves; beyond this condition estimate the
-# denominator sum is declared singular instead of returning garbage
-COND_LIMIT = 1e14
+from .kernels import solve_checked, trailing_left_singular_block
 
 __all__ = [
     "ScalarBarycentric",
@@ -50,12 +46,6 @@ def _nearest(nodes, z):
     dist = np.abs(z - nodes)
     k = int(np.argmin(dist))
     return k, dist[k]
-
-
-def _solve_checked(S, T, z):
-    if np.linalg.cond(S) > COND_LIMIT:
-        raise EvaluationError(f"singular barycentric denominator at z = {z}")
-    return np.linalg.solve(S, T)
 
 
 @dataclass(frozen=True)
@@ -174,7 +164,7 @@ class BlockBaryB:
         c = 1.0 / (z - self.nodes)
         S = np.tensordot(c, self.weights, axes=(0, 0))
         T = np.tensordot(c, np.einsum("kij,kjl->kil", self.weights, self.values), axes=(0, 0))
-        return _solve_checked(S, T, z)
+        return solve_checked(S, T, z)
 
 
 @dataclass(frozen=True)
@@ -215,11 +205,11 @@ class BlockBaryC:
     def __call__(self, z):
         k, dist = _nearest(self.nodes, z)
         if dist <= _support_tol(self.nodes):
-            return _solve_checked(self.denom[k], self.numer[k], z)
+            return solve_checked(self.denom[k], self.numer[k], z)
         c = 1.0 / (z - self.nodes)
         S = np.tensordot(c, self.denom, axes=(0, 0))
         T = np.tensordot(c, self.numer, axes=(0, 0))
-        return _solve_checked(S, T, z)
+        return solve_checked(S, T, z)
 
 
 def _check_disjoint(points, nodes):

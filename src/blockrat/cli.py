@@ -240,15 +240,19 @@ def run_sweep(problem, methods, orders, tol=1e-13, iters=5, seed=0, repeats=20,
     return records
 
 
+def _write_records(fh, problem_name, records):
+    out = csv.writer(fh, lineterminator="\n")
+    out.writerow(["problem", "method", "order", "rmse", "time_ms", "status"])
+    for r in records:
+        out.writerow([problem_name, r.method, r.order, f"{r.rmse:.17g}", f"{r.time_ms:.6g}", r.status])
+
+
 def write_csv(problem_name, records, path, with_trace=False):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        out = csv.writer(fh)
-        out.writerow(["problem", "method", "order", "rmse", "time_ms", "status"])
-        for r in records:
-            out.writerow([problem_name, r.method, r.order, f"{r.rmse:.17g}", f"{r.time_ms:.6g}", r.status])
+        _write_records(fh, problem_name, records)
     if with_trace:
         with open(str(path) + ".trace.csv", "w", newline="", encoding="utf-8") as fh:
-            out = csv.writer(fh)
+            out = csv.writer(fh, lineterminator="\n")
             out.writerow(["problem", "method", "order", "iteration", "value"])
             for r in records:
                 for it, val in enumerate(r.trace):
@@ -278,10 +282,12 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0, help="seed for noise and surrogate directions")
     ap.add_argument("--repeats", type=int, default=20, help="timing repetitions per cell")
     ap.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    ap.add_argument("--trace", action="store_true", help="also emit per-iteration traces")
+    ap.add_argument("--trace", action="store_true", help="also emit per-iteration traces to <out>.trace.csv")
     ap.add_argument("--against-truth", action="store_true",
                     help="measure RMSE against the clean truth when available")
     args = ap.parse_args(argv)
+    if args.trace and not args.out:
+        ap.error("--trace writes <out>.trace.csv and needs --out")
 
     if args.problem:
         problem = PROBLEMS[args.problem]()
@@ -304,9 +310,7 @@ def main(argv=None):
     if args.out:
         write_csv(problem.name, records, args.out, with_trace=args.trace)
     else:
-        sys.stdout.write("problem,method,order,rmse,time_ms,status\n")
-        for r in records:
-            sys.stdout.write(f"{problem.name},{r.method},{r.order},{r.rmse:.17g},{r.time_ms:.6g},{r.status}\n")
+        _write_records(sys.stdout, problem.name, records)
 
     return 2 if any(r.status != "ok" for r in records) else 0
 

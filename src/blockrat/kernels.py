@@ -2,7 +2,8 @@
 
 Thin wrappers around LAPACK (via numpy/scipy) with the conventions the
 fitters rely on: descending singular values, minimum-norm least squares,
-(alpha, beta) generalized eigenvalue pairs, and companion-matrix roots.
+the singularity-checked solve every matrix model evaluates with, (alpha,
+beta) generalized eigenvalue pairs, and companion-matrix roots.
 """
 
 import warnings
@@ -11,17 +12,21 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import NumericalError, ParameterError
+from .core import EvaluationError, NumericalError, ParameterError
 
 # relative thresholds: double-precision noise floor with headroom
 EPS_FINITE = 1e-12  # |beta| below this (relative) flags an infinite eigenvalue
 EPS_TRIM = 1e-13  # trailing polynomial coefficients below this are dropped
+# matrix "inverses" in model evaluation are linear solves; beyond this
+# condition estimate the matrix is declared singular instead of returning garbage
+COND_LIMIT = 1e14
 
 __all__ = [
     "SvdResult",
     "svd_full",
     "trailing_left_singular_block",
     "lstsq",
+    "solve_checked",
     "gen_eig",
     "finite_eigenvalues",
     "companion_roots",
@@ -65,10 +70,20 @@ def lstsq(A, B):
     B = np.asarray(B, dtype=complex)
     if A.shape[0] != B.shape[0]:
         raise ParameterError(f"row mismatch: A has {A.shape[0]}, B has {B.shape[0]}")
-    X, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
+    try:
+        X, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"least squares failed for shape {A.shape}: {e}") from e
     if rank < A.shape[1]:
         warnings.warn("rank-deficient least squares; using the minimum-norm solution")
     return X
+
+
+def solve_checked(S, T, z):
+    """S^-1 T for a model evaluated at z; raises EvaluationError if S is singular."""
+    if np.linalg.cond(S) > COND_LIMIT:
+        raise EvaluationError(f"numerically singular matrix at z = {z}")
+    return np.linalg.solve(S, T)
 
 
 def gen_eig(A, B):

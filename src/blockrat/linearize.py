@@ -28,7 +28,6 @@ class Pencil:
     L0: np.ndarray  # (d*s, d*s)
     L1: np.ndarray
     nodes: np.ndarray
-    weights: np.ndarray  # barycentric polynomial weights of the nodes
 
 
 def bary_poly_weights(nodes):
@@ -72,26 +71,22 @@ def build_pencil(C, nodes):
         raise ParameterError("nodes must be pairwise distinct")
     s = C.shape[1]
     eye = np.eye(s)
-    L0 = np.zeros((d * s, d * s), dtype=complex)
-    L1 = np.zeros((d * s, d * s), dtype=complex)
-
-    def blk(M, i, j):
-        return M[i * s : (i + 1) * s, j * s : (j + 1) * s]
-
+    # blocks indexed (block row, row, block column, column)
+    L0 = np.zeros((d, s, d, s), dtype=complex)
+    L1 = np.zeros((d, s, d, s), dtype=complex)
     # first block row: (z - z_d) sum_k C_k m_k(z) with C_d folded onto m_{d-1}
     # via (z - z_d) m_d = (z - z_{d-1}) m_{d-1}
-    for k in range(d - 1):
-        blk(L0, 0, k)[:] = nodes[d] * C[k]
-        blk(L1, 0, k)[:] = C[k]
-    blk(L0, 0, d - 1)[:] = nodes[d] * C[d - 1] + nodes[d - 1] * C[d]
-    blk(L1, 0, d - 1)[:] = C[d - 1] + C[d]
+    top0, top1 = nodes[d] * C[:d], C[:d].copy()
+    top0[d - 1] += nodes[d - 1] * C[d]
+    top1[d - 1] += C[d]
+    L0[0], L1[0] = top0.transpose(1, 0, 2), top1.transpose(1, 0, 2)
     # recurrence rows: (z - z_{i-1}) m_{i-1} = (z - z_i) m_i
-    for i in range(1, d):
-        blk(L0, i, i - 1)[:] = nodes[i - 1] * eye
-        blk(L0, i, i)[:] = -nodes[i] * eye
-        blk(L1, i, i - 1)[:] = eye
-        blk(L1, i, i)[:] = -eye
-    return Pencil(L0, L1, nodes, bary_poly_weights(nodes))
+    i = np.arange(1, d)
+    L0[i, :, i - 1, :] = nodes[i - 1, None, None] * eye
+    L0[i, :, i, :] = -nodes[i, None, None] * eye
+    L1[i, :, i - 1, :] = eye
+    L1[i, :, i, :] = -eye
+    return Pencil(L0.reshape(d * s, d * s), L1.reshape(d * s, d * s), nodes)
 
 
 def pencil_eigs(pencil):

@@ -1,8 +1,8 @@
 """Loewner framework: data partition, (shifted) Loewner assembly, and
 truncated-SVD projection to a small (Er, Ar, Br, Cr) realization.
 
-Block data is tangentially compressed with left/right direction vectors
-(standard basis vectors cycled by default); scalar data is the 1x1 case.
+Block data is tangentially compressed with the standard basis vectors,
+cycled over the partition points on both sides; scalar data is the 1x1 case.
 """
 
 import warnings
@@ -10,13 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycentric import COND_LIMIT
-from .core import EvaluationError, ParameterError, SampleSet
-from .kernels import finite_eigenvalues, svd_full
+from .core import ParameterError, SampleSet
+from .kernels import finite_eigenvalues, solve_checked, svd_full
 
 EPS_RANK = 1e-12  # relative singular-value floor for the rank warning
 
-__all__ = ["LoewnerModel", "partition", "loewner_scalar", "loewner_block", "eval_loewner", "model_poles"]
+__all__ = ["LoewnerModel", "partition", "loewner_scalar", "loewner_block", "model_poles"]
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,8 @@ class LoewnerModel:
         return self.Cr.shape[0], self.Br.shape[1]
 
     def __call__(self, z):
-        return eval_loewner(self, z)
+        """R(z) = Cr (Ar - z Er)^-1 Br; raises on a singular resolvent."""
+        return self.Cr @ solve_checked(self.Ar - z * self.Er, self.Br, z)
 
 
 def partition(points, values):
@@ -62,11 +62,11 @@ def partition(points, values):
 
 
 def _project(L, Ls, V, W, d):
-    svd = svd_full(L)
     if d > L.shape[0]:
         raise ParameterError(f"order {d} exceeds the partition size {L.shape[0]}")
     if d < 1:
         raise ParameterError("target order must be >= 1")
+    svd = svd_full(L)
     numrank = int(np.sum(svd.s > EPS_RANK * svd.s[0]))
     if d > numrank:
         warnings.warn(f"order {d} exceeds the numerical Loewner rank {numrank}")
@@ -85,26 +85,16 @@ def loewner_scalar(points, values, d):
     return loewner_block(SampleSet(points, values), d)
 
 
-def _cycled_basis(count, dim):
-    E = np.eye(dim)
-    return np.array([E[i % dim] for i in range(count)], dtype=complex)
+def loewner_block(samples, d):
+    """Tangential block Loewner fit of target order d.
 
-
-def loewner_block(samples, d, directions=None):
-    """Tangential block Loewner fit with directional compression.
-
-    `directions` is an optional (left, right) pair of arrays with one unit
-    vector per partition point; by default the standard basis vectors are
-    cycled on both sides.
+    The left and right direction vectors cycle through the standard basis
+    vectors, one per partition point.
     """
     m, n = samples.shape
     left, right = partition(samples.points, samples.values)
-    half = left.ell
-    if directions is None:
-        ldir, rdir = _cycled_basis(half, m), _cycled_basis(half, n)
-    else:
-        ldir = np.asarray(directions[0], dtype=complex).reshape(half, m)
-        rdir = np.asarray(directions[1], dtype=complex).reshape(half, n)
+    cycle = np.arange(left.ell)
+    ldir, rdir = np.eye(m, dtype=complex)[cycle % m], np.eye(n, dtype=complex)[cycle % n]
     x, y = left.points, right.points
     lFx = np.einsum("im,imn->in", ldir.conj(), left.values)  # rows l_i* F(x_i)
     Fyr = np.einsum("jmn,jn->jm", right.values, rdir)  # columns F(y_j) r_j
@@ -116,14 +106,6 @@ def loewner_block(samples, d, directions=None):
     V = lFx  # (ell/2, n)
     W = Fyr.T  # (m, ell/2)
     return _project(L, Ls, V, W, d)
-
-
-def eval_loewner(model, z):
-    """R(z) = Cr (Ar - z Er)^-1 Br; raises on a singular resolvent."""
-    A = model.Ar - z * model.Er
-    if np.linalg.cond(A) > COND_LIMIT:
-        raise EvaluationError(f"singular Loewner resolvent at z = {z}")
-    return model.Cr @ np.linalg.solve(A, model.Br)
 
 
 def model_poles(model):

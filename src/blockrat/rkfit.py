@@ -17,7 +17,7 @@ import numpy as np
 from .core import NumericalError, ParameterError
 from .kernels import lstsq
 from .linearize import bary_poly_weights, build_pencil, pencil_eigs
-from .vecfit import PoleResidue, _cauchy, _dedupe, _fit_residues
+from .vecfit import PoleResidue, _cauchy, _dedupe, _denominator_zeros, _fit_residues, _start_poles
 
 __all__ = ["RkfitOptions", "RationalBasis", "RkfitResult", "build_basis", "relocate_poles", "rkfit_fit"]
 
@@ -95,7 +95,7 @@ def _leja_indices(points, count):
     return np.array(chosen)
 
 
-def _polynomial_roots_from_values(points, pvals, degree, scale):
+def _polynomial_roots_from_values(points, pvals, degree):
     """Roots of the degree-<=degree polynomial with samples `pvals` on `points`.
 
     Least-squares projection onto an orthonormal polynomial basis of the
@@ -136,10 +136,10 @@ def relocate_poles(basis, sample_functions):
         coef = lstsq(np.column_stack([np.ones(V.shape[0]), _cauchy(basis.points, basis.poles)]), vhat)
         delta, gamma = coef[0], coef[1:]
         if abs(delta) > 1e-13 * np.max(np.abs(coef)):
-            roots = np.linalg.eigvals(np.diag(basis.poles) - np.outer(np.ones(basis.degree), gamma / delta))
+            roots = _denominator_zeros(basis.poles, gamma / delta)
             roots = roots[np.abs(roots) < 1e8 * basis.scale]
             return _dedupe(roots)
-    roots = _polynomial_roots_from_values(basis.points, pvals, basis.degree, basis.scale)
+    roots = _polynomial_roots_from_values(basis.points, pvals, basis.degree)
     return _dedupe(roots)
 
 
@@ -157,13 +157,9 @@ def rkfit_fit(samples, opts):
         raise ParameterError(f"need at least {2 * d + 2} samples for degree {d}")
     m, n = samples.shape
     fs = [samples.values[:, a, b] for a in range(m) for b in range(n)]
-    poles = (
-        _dedupe(np.asarray(opts.initial_poles, dtype=complex).ravel())
-        if opts.initial_poles is not None
-        else np.array([], dtype=complex)
-    )
+    poles = _start_poles(opts.initial_poles, np.array([], dtype=complex))
 
-    from .core import rmse  # local import to avoid a cycle at module load
+    from .core import rmse  # looked up at call time, so a rebound core.rmse is seen
 
     trace = []
     poles_trace = []

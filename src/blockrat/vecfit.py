@@ -102,17 +102,14 @@ def _dedupe(poles):
     return poles
 
 
-def _relocate(poles, denom_coeffs):
-    # zeros of q(z) = 1 + sum_k d_k/(z - xi_k) via the companion-like pencil
-    new = np.linalg.eigvals(np.diag(poles) - np.outer(np.ones(poles.size), denom_coeffs))
-    return _dedupe(new)
+def _start_poles(given, default):
+    """The given start poles, deduplicated, or `default` when none are given."""
+    return default if given is None else _dedupe(np.array(given, dtype=complex).ravel())
 
 
-def _stabilize(poles):
-    flip = poles.real > 0
-    poles = poles.copy()
-    poles[flip] = -np.conj(poles[flip])
-    return _dedupe(poles)
+def _denominator_zeros(poles, coeffs):
+    """Zeros of q(z) = 1 + sum_k coeffs_k/(z - poles_k): eigvals of diag(poles) - 1 coeffs^T."""
+    return np.linalg.eigvals(np.diag(poles) - np.outer(np.ones(poles.size), coeffs))
 
 
 def vf_scalar(points, values, d, opts=VfOptions()):
@@ -138,29 +135,21 @@ def vf_matrix(samples, d, opts=VfOptions()):
         D = fs.mean(axis=0).reshape(m, n)
         return PoleResidue(D, [], np.zeros((0, m, n)))
 
-    poles = (
-        _dedupe(np.asarray(opts.initial_poles, dtype=complex).ravel())
-        if opts.initial_poles is not None
-        else initial_poles(points, d)
-    )
+    poles = _start_poles(opts.initial_poles, initial_poles(points, d))
     if poles.size != d:
         raise ParameterError(f"expected {d} initial poles, got {poles.size}")
 
+    e = np.arange(ne)
     for _ in range(opts.iterations):
         P = _cauchy(points, poles)  # (ell, d)
-        # unknowns: per-entry [c_1..c_d, c_0], then the shared [d_1..d_d]
-        ncols = ne * (d + 1) + d
-        A = np.zeros((ell * ne, ncols), dtype=complex)
-        rhs = np.empty(ell * ne, dtype=complex)
-        for e in range(ne):
-            rows = slice(e * ell, (e + 1) * ell)
-            cols = slice(e * (d + 1), (e + 1) * (d + 1))
-            A[rows, cols] = np.column_stack([P, np.ones(ell)])
-            A[rows, ne * (d + 1) :] = -fs[:, e][:, None] * P
-            rhs[rows] = fs[:, e]
-        sol = lstsq(A, rhs)
-        poles = _relocate(poles, sol[ne * (d + 1) :])
+        # unknowns: per-entry [c_1..c_d, c_0], then the shared [d_1..d_d];
+        # rows: one block of ell sample rows per entry
+        A = np.zeros((ne, ell, ne, d + 1), dtype=complex)
+        A[e, :, e] = np.column_stack([P, np.ones(ell)])
+        A = np.hstack([A.reshape(ne * ell, ne * (d + 1)), (-fs.T[:, :, None] * P).reshape(ne * ell, d)])
+        sol = lstsq(A, fs.T.ravel())
+        poles = _dedupe(_denominator_zeros(poles, sol[ne * (d + 1) :]))
         if opts.enforce_stability:
-            poles = _stabilize(poles)
+            poles = _dedupe(np.where(poles.real > 0, -np.conj(poles), poles))  # reflect unstable poles
 
     return _fit_residues(points, values, poles)

@@ -101,6 +101,12 @@ class TestBlockBaryB:
         r = BlockBaryB([0.0, 1.0], W, np.zeros((2, 2, 2)))
         assert np.linalg.norm(r.weights) == pytest.approx(1.0, abs=1e-12)
 
+    def test_rank_deficient_weights_raise_away_from_support(self):
+        W = np.tile(np.diag([1.0, 0.0]), (3, 1, 1))
+        r = BlockBaryB([0.0, 1.0, 2.0], W, np.ones((3, 2, 2)))
+        with pytest.raises(EvaluationError):
+            r(0.5j)
+
 
 class TestBlockBaryC:
     def test_common_factor_gives_constant(self):
@@ -129,6 +135,12 @@ class TestBlockBaryC:
         rC = BlockBaryC(nodes, np.einsum("kij,kjl->kil", W, F), W)
         z = 0.4 - 1.1j
         assert np.allclose(rB(z), rC(z), rtol=1e-11, atol=1e-12)
+
+    def test_rank_deficient_denominator_raises_away_from_support(self):
+        D = np.tile(np.diag([1.0, 0.0]), (3, 1, 1))
+        r = BlockBaryC([0.0, 1.0, 2.0], np.ones((3, 2, 2)), D)
+        with pytest.raises(EvaluationError):
+            r(0.5j)
 
 
 class TestSolveWeightsBaryB:

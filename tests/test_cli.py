@@ -167,6 +167,28 @@ class TestMain:
         trace_rows = list(csv.DictReader((tmp_path / "tr.csv.trace.csv").open()))
         assert len(trace_rows) == 3
 
+    def test_trace_without_out_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "toy1", "--method", "loewner", "--orders", "2",
+                  "--repeats", "1", "--trace"])
+        assert exc.value.code == 2
+        assert "--trace" in capsys.readouterr().err
+
+    def test_stdout_and_file_share_csv_format(self, tmp_path, capsys):
+        args = ["--problem", "toy1", "--method", "loewner", "--orders", "1:2", "--repeats", "1"]
+        out = tmp_path / "run.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        written = out.read_bytes().decode()
+        assert "\r" not in written and "\r" not in printed
+
+        def drop_time(text):
+            return [row[:4] + row[5:] for row in csv.reader(text.splitlines())]
+
+        assert drop_time(printed) == drop_time(written)
+
     def test_order_range_and_input_file(self, tmp_path, toy1):
         data = tmp_path / "data.txt"
         save_samples(toy1.samples, data)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockrat.core import ParameterError
+from blockrat.core import NumericalError, ParameterError
 from blockrat.kernels import (
     companion_roots,
     finite_eigenvalues,
@@ -108,6 +108,11 @@ class TestLstsq:
         B = rng.normal(size=(10, 3)) + 1j * rng.normal(size=(10, 3))
         X = lstsq(A, B)
         assert np.linalg.norm(A.conj().T @ (A @ X - B)) <= 1e-10
+
+    def test_nonfinite_matrix_raises_numerical_error(self):
+        A = np.array([[np.nan, 1.0], [2.0, 3.0]])
+        with pytest.raises(NumericalError):
+            lstsq(A, np.ones(2))
 
 
 class TestGenEig:

@@ -42,7 +42,42 @@ class TestBaryPolyWeights:
             bary_poly_weights([1.0, 1.0])
 
 
+def loop_pencil(C, nodes):
+    """Block-by-block reference assembly of the pencil of `build_pencil`."""
+    d, s = nodes.size - 1, C.shape[1]
+    eye = np.eye(s)
+    L0 = np.zeros((d * s, d * s), dtype=complex)
+    L1 = np.zeros((d * s, d * s), dtype=complex)
+
+    def blk(M, i, j):
+        return M[i * s : (i + 1) * s, j * s : (j + 1) * s]
+
+    for k in range(d - 1):
+        blk(L0, 0, k)[:] = nodes[d] * C[k]
+        blk(L1, 0, k)[:] = C[k]
+    blk(L0, 0, d - 1)[:] = nodes[d] * C[d - 1] + nodes[d - 1] * C[d]
+    blk(L1, 0, d - 1)[:] = C[d - 1] + C[d]
+    for i in range(1, d):
+        blk(L0, i, i - 1)[:] = nodes[i - 1] * eye
+        blk(L0, i, i)[:] = -nodes[i] * eye
+        blk(L1, i, i - 1)[:] = eye
+        blk(L1, i, i)[:] = -eye
+    return L0, L1
+
+
 class TestBuildPencil:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_matches_block_loop(self, d, s):
+        rng = np.random.default_rng(10 * d + s)
+        nodes = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+        C = rng.normal(size=(d + 1, s, s)) + 1j * rng.normal(size=(d + 1, s, s))
+        pencil = build_pencil(C, nodes)
+        L0, L1 = loop_pencil(C, nodes)
+        # byte comparison: signed zeros included
+        assert pencil.L0.tobytes() == L0.tobytes()
+        assert pencil.L1.tobytes() == L1.tobytes()
+
     def test_scalar_quadratic_roots(self):
         nodes = np.array([0.0, 1.0, 2.0])
         C = interp_blocks(nodes, (nodes**2 - 1)[:, None, None])

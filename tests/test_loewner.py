@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import blockrat.loewner as loewner
+
 from blockrat import (
     EvaluationError,
     LoewnerModel,
@@ -78,6 +80,16 @@ class TestLoewnerScalar:
 
 
 class TestLoewnerBlock:
+    @pytest.mark.parametrize("d", [0, 5])
+    def test_order_checked_before_svd(self, monkeypatch, d):
+        def no_svd(M):
+            raise AssertionError("SVD computed for an invalid order")
+
+        monkeypatch.setattr(loewner, "svd_full", no_svd)
+        pts = logspace_imaginary(1, 10, 8)
+        with pytest.raises(ParameterError):
+            loewner_block(SampleSet(pts, 1.0 / (pts + 1)), d)
+
     def test_scalar_reduction(self):
         pts = logspace_imaginary(1, 10, 10)
         f = (pts - 1) / (pts**2 + pts + 2)

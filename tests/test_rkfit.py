@@ -79,6 +79,12 @@ class TestRkfitFit:
         res = rkfit_fit(s, RkfitOptions(degree=1, iterations=2))
         assert res.model.poles[0] == pytest.approx(-1.0, abs=1e-6)
 
+    def test_start_at_true_poles_stays_put(self):
+        pts = logspace_imaginary(1, 10, 20)
+        s = SampleSet(pts, 1.0 / (pts + 2) + 2.0 / (pts + 3))
+        res = rkfit_fit(s, RkfitOptions(degree=2, iterations=1, initial_poles=[-2.0, -3.0]))
+        assert np.linalg.norm(np.sort_complex(res.model.poles) - [-3.0, -2.0]) <= 1e-12
+
     def test_toy1_degree6(self, toy1):
         res = rkfit_fit(toy1.samples, RkfitOptions(degree=6, iterations=5))
         assert rmse(toy1.samples, res.model) <= 1e-8
