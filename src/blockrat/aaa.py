@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barycentric import BlockBaryA, ScalarBarycentric
-from .core import EvaluationError, ParameterError, SampleSet
+from .core import ParameterError, SampleSet, frobenius_norms
 
 __all__ = [
     "AaaOptions",
@@ -49,14 +49,15 @@ def _greedy_driver(samples, opts, solve_weights, make_model, fallback_weights, e
     solve_weights(rest, nodes, node_vals) -> weights, from the remaining samples
     make_model(nodes, weights, node_vals) -> evaluator
     fallback_weights(k) -> weights of an order-0 model on k support points
-    err_of(residual matrix) -> scalar error
+    err_of(residual stack) -> error of each (m, n) block, NaN for a NaN block
     rows_needed(j) -> remaining points the order-j weight solve needs
 
-    Points where the current model raises EvaluationError are skipped for
+    Each iteration evaluates the current model once, on all remaining points.
+    Points where it cannot be evaluated (NaN blocks) are skipped for
     selection in that iteration and recorded as (iteration, point) pairs.
     """
     points, values = samples.points, samples.values
-    threshold = opts.tol * max(err_of(v) for v in values)
+    threshold = opts.tol * err_of(values).max()
 
     remaining = np.ones(samples.ell, dtype=bool)
     mean = values.mean(axis=0)
@@ -67,18 +68,18 @@ def _greedy_driver(samples, opts, solve_weights, make_model, fallback_weights, e
 
     while True:
         idx = np.flatnonzero(remaining)
-        errs = np.full(idx.size, -np.inf)
-        for t, i in enumerate(idx):
-            try:
-                approx = mean if model is None else model(points[i])
-            except EvaluationError:
-                skipped.append((len(sel), complex(points[i])))
-                continue
-            errs[t] = err_of(values[i] - approx)
-        if not np.any(np.isfinite(errs)):
+        targets = values[idx]
+        approx = mean if model is None else model(points[idx]).reshape(targets.shape)  # (N,) for scalar AAA
+        errs = err_of(targets - approx)
+        bad = np.isnan(errs)
+        if bad.any():
+            skipped.extend((len(sel), complex(z)) for z in points[idx[bad]])
+            errs[bad] = -np.inf
+        if not np.isfinite(errs).any():
             return model, trace, skipped
-        pick = idx[int(np.argmax(errs))]  # argmax takes the lowest index on ties
-        trace.append(float(errs.max()))
+        t = int(np.argmax(errs))  # argmax takes the lowest index on ties
+        pick = idx[t]
+        trace.append(float(errs[t]))
         if model is not None and trace[-1] <= threshold:
             return model, trace, skipped
         sel.append(pick)
@@ -125,13 +126,13 @@ def aaa_scalar(points, values, opts=AaaOptions()):
         SampleSet(points, values),
         opts,
         lambda nodes, w, fv: ScalarBarycentric(nodes, w, fv[:, 0, 0]),
-        lambda r: float(np.abs(r).max()),
+        lambda r: np.abs(r).max(axis=(1, 2)),
     )
 
 
 def set_valued_aaa(samples, opts=AaaOptions()):
     """AAA with common support points and weights for all matrix entries."""
-    return _scalar_weight_fit(samples, opts, BlockBaryA, lambda r: float(np.linalg.norm(r, "fro")))
+    return _scalar_weight_fit(samples, opts, BlockBaryA, frobenius_norms)
 
 
 def surrogate_aaa(samples, a, b, opts=AaaOptions()):

@@ -13,11 +13,11 @@ The least-squares weight solvers for the B and C forms reduce to a trailing
 left singular block of a (block) Loewner matrix.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EvaluationError, ParameterError
+from .core import Evaluator, ParameterError
 from .kernels import solve_checked, trailing_left_singular_block
 
 __all__ = [
@@ -42,15 +42,50 @@ def _check_nodes(nodes):
     return nodes
 
 
-def _nearest(nodes, z):
-    dist = np.abs(z - nodes)
-    k = int(np.argmin(dist))
-    return k, dist[k]
+def _nearest(nodes, zs):
+    """(on, k): whether each point lies on a support point, and its nearest node."""
+    dist = np.abs(zs[:, None] - nodes[None, :])
+    k = np.argmin(dist, axis=1)
+    return dist[np.arange(zs.size), k] <= _support_tol(nodes), k
+
+
+def _sums(c, A):
+    """sum_k c[i, k] A[k] for each row i of c, as an (N,) + A.shape[1:] stack.
+
+    One (1, k) @ (k, m*n) product per row: the BLAS call that
+    np.tensordot(c[i], A, axes=(0, 0)) makes, so the bits are those of the
+    per-point sum.  A single (N, k) @ (k, m*n) product rounds differently.
+    For k = 1 and m*n > 1, np.tensordot scales A[0] by c[i, 0] (a BLAS axpy),
+    which rounds as a plain product does; c[:, :, None] gives c the ndim of
+    A, (k, m, n), for the reason given in ScalarBarycentric.__call__.
+    """
+    if A.shape[0] == 1 and A[0].size > 1:
+        return c[:, :, None] * A
+    return (c[:, None, :] @ A.reshape(A.shape[0], -1)).reshape(c.shape[:1] + A.shape[1:])
+
+
+def _scalar_weight_quotient(model, zs, numer):
+    """sum_k c_k F_k / sum_k c_k with c_k = w_k/(z - z_k), and F_k itself at z_k.
+
+    `numer(c)` forms the numerator sums of the rows of c.  NaN where the
+    denominator sum vanishes.
+    """
+    on, k = _nearest(model.nodes, zs)
+    R = np.full(zs.shape + model.values.shape[1:], np.nan, dtype=complex)
+    R[on] = model.values[k[on]]
+    off = np.flatnonzero(~on)
+    c = model.weights / (zs[off, None] - model.nodes)
+    den = np.sum(c, axis=1)
+    ok = den != 0
+    R[off[ok]] = numer(c[ok]) / den[ok].reshape((-1,) + (1,) * (R.ndim - 1))
+    return R
 
 
 @dataclass(frozen=True)
-class ScalarBarycentric:
+class ScalarBarycentric(Evaluator):
     """r(z) = sum_k w_k f_k / (z - z_k)  /  sum_k w_k / (z - z_k)."""
+
+    _undefined = "barycentric denominator vanishes at z = {z}"
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -73,19 +108,18 @@ class ScalarBarycentric:
         return self.nodes.size - 1
 
     def __call__(self, z):
-        k, dist = _nearest(self.nodes, z)
-        if dist <= _support_tol(self.nodes):
-            return self.values[k]
-        c = self.weights / (z - self.nodes)
-        den = np.sum(c)
-        if den == 0:
-            raise EvaluationError(f"barycentric denominator vanishes at z = {z}")
-        return np.sum(c * self.values) / den
+        zs = self._points(z)
+        # values[None] keeps both factors 2-D: numpy rounds a complex product
+        # of size-1 operands of unequal ndim without fused multiply-add, so
+        # one point alone would differ from the same point in a longer array
+        return self._result(z, _scalar_weight_quotient(self, zs, lambda c: np.sum(c * self.values[None], axis=1)))
 
 
 @dataclass(frozen=True)
-class BlockBaryA:
+class BlockBaryA(Evaluator):
     """Scalar-weight barycentric form with matrix values F_k."""
+
+    _undefined = "barycentric denominator vanishes at z = {z}"
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -112,18 +146,12 @@ class BlockBaryA:
         return self.values.shape[1], self.values.shape[2]
 
     def __call__(self, z):
-        k, dist = _nearest(self.nodes, z)
-        if dist <= _support_tol(self.nodes):
-            return self.values[k]
-        c = self.weights / (z - self.nodes)
-        den = np.sum(c)
-        if den == 0:
-            raise EvaluationError(f"barycentric denominator vanishes at z = {z}")
-        return np.tensordot(c, self.values, axes=(0, 0)) / den
+        zs = self._points(z)
+        return self._result(z, _scalar_weight_quotient(self, zs, lambda c: _sums(c, self.values)))
 
 
 @dataclass(frozen=True)
-class BlockBaryB:
+class BlockBaryB(Evaluator):
     """Matrix-weight barycentric form; the output of block-AAA.
 
     R(z) = (sum_k W_k/(z-z_k))^-1 (sum_k W_k F_k/(z-z_k)), with the weight
@@ -133,6 +161,9 @@ class BlockBaryB:
     nodes: np.ndarray
     weights: np.ndarray  # (d+1, m, m)
     values: np.ndarray  # (d+1, m, n)
+    weighted: np.ndarray = field(init=False, repr=False, compare=False)  # W_k F_k
+
+    _undefined = "numerically singular matrix at z = {z}"
 
     def __post_init__(self):
         nodes = _check_nodes(self.nodes)
@@ -148,6 +179,7 @@ class BlockBaryB:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", W / total)
         object.__setattr__(self, "values", F)
+        object.__setattr__(self, "weighted", np.einsum("kij,kjl->kil", self.weights, F))
 
     @property
     def order(self):
@@ -158,17 +190,17 @@ class BlockBaryB:
         return self.values.shape[1], self.values.shape[2]
 
     def __call__(self, z):
-        k, dist = _nearest(self.nodes, z)
-        if dist <= _support_tol(self.nodes):
-            return self.values[k]
-        c = 1.0 / (z - self.nodes)
-        S = np.tensordot(c, self.weights, axes=(0, 0))
-        T = np.tensordot(c, np.einsum("kij,kjl->kil", self.weights, self.values), axes=(0, 0))
-        return solve_checked(S, T, z)
+        zs = self._points(z)
+        on, k = _nearest(self.nodes, zs)
+        R = np.empty(zs.shape + self.shape, dtype=complex)
+        R[on] = self.values[k[on]]
+        c = 1.0 / (zs[~on, None] - self.nodes)
+        R[~on] = solve_checked(_sums(c, self.weights), _sums(c, self.weighted))
+        return self._result(z, R)
 
 
 @dataclass(frozen=True)
-class BlockBaryC:
+class BlockBaryC(Evaluator):
     """Fully general barycentric quotient with numerator and denominator blocks.
 
     R(z) = (sum_k D_k/(z-z_k))^-1 (sum_k C_k/(z-z_k)); non-interpolatory in
@@ -178,6 +210,8 @@ class BlockBaryC:
     nodes: np.ndarray
     numer: np.ndarray  # (d+1, m, n)
     denom: np.ndarray  # (d+1, m, m)
+
+    _undefined = "numerically singular matrix at z = {z}"
 
     def __post_init__(self):
         nodes = _check_nodes(self.nodes)
@@ -203,13 +237,14 @@ class BlockBaryC:
         return self.numer.shape[1], self.numer.shape[2]
 
     def __call__(self, z):
-        k, dist = _nearest(self.nodes, z)
-        if dist <= _support_tol(self.nodes):
-            return solve_checked(self.denom[k], self.numer[k], z)
-        c = 1.0 / (z - self.nodes)
-        S = np.tensordot(c, self.denom, axes=(0, 0))
-        T = np.tensordot(c, self.numer, axes=(0, 0))
-        return solve_checked(S, T, z)
+        zs = self._points(z)
+        on, k = _nearest(self.nodes, zs)
+        S = np.empty(zs.shape + self.denom.shape[1:], dtype=complex)
+        T = np.empty(zs.shape + self.shape, dtype=complex)
+        S[on], T[on] = self.denom[k[on]], self.numer[k[on]]
+        c = 1.0 / (zs[~on, None] - self.nodes)
+        S[~on], T[~on] = _sums(c, self.denom), _sums(c, self.numer)
+        return self._result(z, solve_checked(S, T))
 
 
 def _check_disjoint(points, nodes):

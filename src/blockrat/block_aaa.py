@@ -13,6 +13,7 @@ import numpy as np
 
 from .aaa import AaaOptions, _greedy_driver
 from .barycentric import BlockBaryB, solve_weights_baryB
+from .core import frobenius_norms
 
 __all__ = ["BlockAaaResult", "block_aaa"]
 
@@ -42,6 +43,6 @@ def block_aaa(samples, opts=AaaOptions()):
         _block_weights,
         BlockBaryB,
         lambda k: np.tile(np.eye(m) / np.sqrt(k * m), (k, 1, 1)),
-        lambda r: float(np.linalg.norm(r, "fro")),
+        frobenius_norms,
         lambda j: 1,
     ))

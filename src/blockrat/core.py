@@ -1,9 +1,18 @@
 """Sample sets, sampling grids, noise injection, and the RMSE metric.
 
 All fitters in this package consume a :class:`SampleSet`: a list of pairwise
-distinct complex points together with one m-by-n complex matrix sample per
-point.  Fitted models are "evaluators": callables mapping a complex scalar z
-to an m-by-n complex matrix (1x1 for scalar data).
+distinct complex points together with one finite m-by-n complex matrix sample
+per point.  Fitted models are "evaluators".  Every model class of the package
+derives from :class:`Evaluator` and follows its contract:
+
+* ``model(z)`` with a complex scalar z returns the m-by-n complex matrix at z
+  (a complex scalar for ``ScalarBarycentric``), or raises ``EvaluationError``
+  where the model cannot be evaluated there;
+* ``model(zs)`` with a 1-D array of N points returns the (N, m, n) stack of
+  values (shape (N,) for ``ScalarBarycentric``), with a NaN block exactly at
+  the points where ``model(z)`` raises.
+
+`rmse` also accepts any other callable that maps a scalar z to a matrix.
 """
 
 from dataclasses import dataclass
@@ -16,6 +25,7 @@ __all__ = [
     "EvaluationError",
     "NumericalError",
     "SampleSet",
+    "Evaluator",
     "NoiseSpec",
     "logspace_imaginary",
     "rmse",
@@ -67,6 +77,8 @@ class SampleSet:
             raise ContractError(
                 f"{pts.size} points but {vals.shape[0]} sample matrices"
             )
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
+            raise ParameterError("sample points and values must be finite")
         if len(np.unique(pts)) != pts.size:
             raise ParameterError("sample points must be pairwise distinct")
         object.__setattr__(self, "points", _freeze(pts))
@@ -82,9 +94,57 @@ class SampleSet:
         return self.values.shape[1], self.values.shape[2]
 
     def subset(self, indices):
-        """New SampleSet restricted to the given point indices."""
-        idx = np.asarray(indices)
-        return SampleSet(self.points[idx], self.values[idx])
+        """New SampleSet restricted to the given point indices, each taken once.
+
+        Rows of a valid set need no second check; only the indices are checked.
+        """
+        idx = np.arange(self.ell)[np.asarray(indices)]
+        if idx.size == 0 or np.bincount(idx).max() > 1:
+            raise ParameterError("a subset needs at least one point and each point at most once")
+        sub = object.__new__(SampleSet)
+        object.__setattr__(sub, "points", _freeze(self.points[idx]))
+        object.__setattr__(sub, "values", _freeze(self.values[idx]))
+        return sub
+
+
+class Evaluator:
+    """Base class of the package's fitted models; see the module docstring.
+
+    A subclass computes its values on a 1-D array of points, NaN blocks where
+    it cannot be evaluated, and returns `self._result(z, values)` from its own
+    `__call__`.  Its class attribute `_undefined` is the message of its
+    EvaluationError, a format string in z.
+    """
+
+    @staticmethod
+    def _points(z):
+        """z as a 1-D complex array (one point for a scalar z)."""
+        zs = np.asarray(z, dtype=complex)
+        if zs.ndim > 1:
+            raise ParameterError(f"evaluate at a scalar or a 1-D array of points, got shape {zs.shape}")
+        return zs.reshape(-1)
+
+    def _result(self, z, values):
+        """The whole stack for an array z; for a scalar z, its one value or EvaluationError."""
+        if np.ndim(z) == 1:
+            return values
+        if np.isnan(values[0]).any():
+            raise self._error_at(z)
+        return values[0]
+
+    def _error_at(self, z):
+        return EvaluationError(self._undefined.format(z=z))
+
+
+def frobenius_norms(R):
+    """||R_i||_F of each block of an (N, m, n) stack.
+
+    Bit for bit what np.linalg.norm(R[i], "fro") returns: that is the square
+    root of re.re + im.im over the flattened block, one dot product each.
+    """
+    v = R.reshape(R.shape[0], 1, -1)
+    re, im = v.real, v.imag
+    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -111,20 +171,39 @@ def logspace_imaginary(a, b, ell):
     return 1j * np.logspace(np.log10(a), np.log10(b), ell)
 
 
+def _check_output(shape, m, n):
+    if shape != (m, n):
+        raise ContractError(f"model output {shape} does not match samples {(m, n)}")
+
+
 def rmse(samples, model):
     """Root mean squared Frobenius-norm error of `model` over `samples`.
 
     ( ell^-1 * sum_i ||F(lambda_i) - R(lambda_i)||_F^2 )^(1/2)
+
+    An Evaluator is called once on all sample points; any other callable is
+    called point by point.  The first point that cannot be evaluated raises
+    the model's EvaluationError.
     """
     m, n = samples.shape
+    if isinstance(model, Evaluator):
+        R = np.asarray(model(samples.points), dtype=complex)
+        if R.ndim == 1:  # ScalarBarycentric
+            R = R.reshape(-1, 1, 1)
+        _check_output(R.shape[1:], m, n)
+        bad = np.flatnonzero(np.isnan(R).any(axis=(1, 2)))
+        if bad.size:
+            raise model._error_at(samples.points[bad[0]])
+        errs = frobenius_norms(samples.values - R)
+    else:
+        errs = []
+        for z, F in zip(samples.points, samples.values):
+            R = np.atleast_2d(np.asarray(model(z), dtype=complex))
+            _check_output(R.shape, m, n)
+            errs.append(np.linalg.norm(F - R, "fro"))
     acc = 0.0
-    for z, F in zip(samples.points, samples.values):
-        R = np.atleast_2d(np.asarray(model(z), dtype=complex))
-        if R.shape != (m, n):
-            raise ContractError(
-                f"model output {R.shape} does not match samples {(m, n)}"
-            )
-        acc += np.linalg.norm(F - R, "fro") ** 2
+    for e in errs:  # in point order, as np.float64 scalars
+        acc += e ** 2
     return float(np.sqrt(acc / samples.ell))
 
 

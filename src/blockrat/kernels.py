@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import EvaluationError, NumericalError, ParameterError
+from .core import NumericalError, ParameterError
 
 # relative thresholds: double-precision noise floor with headroom
 EPS_FINITE = 1e-12  # |beta| below this (relative) flags an infinite eigenvalue
@@ -58,9 +58,16 @@ def trailing_left_singular_block(M, m):
     unit-Frobenius-norm W with orthonormal rows this minimizes ||W @ M||_F.
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
+    if M.size == 0:
+        raise ParameterError("cannot take the SVD of an empty matrix")
     if M.shape[0] % m != 0:
         raise ParameterError(f"block height {m} does not divide {M.shape[0]} rows")
-    u = svd_full(M).u
+    # only u is used: the economy SVD gives all of it for a wide M, and a tall
+    # M needs the full u, whose trailing columns span its left null space
+    try:
+        u = np.linalg.svd(M, full_matrices=M.shape[0] > M.shape[1])[0]
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"SVD did not converge for shape {M.shape}: {e}") from e
     return u[:, -m:].conj().T / np.sqrt(m)
 
 
@@ -79,11 +86,16 @@ def lstsq(A, B):
     return X
 
 
-def solve_checked(S, T, z):
-    """S^-1 T for a model evaluated at z; raises EvaluationError if S is singular."""
-    if np.linalg.cond(S) > COND_LIMIT:
-        raise EvaluationError(f"numerically singular matrix at z = {z}")
-    return np.linalg.solve(S, T)
+def solve_checked(S, T):
+    """S_i^-1 T_i for each pair of an (N, k, k) and an (N, k, n) stack.
+
+    Where S_i is numerically singular (condition number above COND_LIMIT) the
+    block is NaN instead: a model evaluated there is not evaluable.
+    """
+    X = np.full(T.shape, np.nan, dtype=complex)
+    ok = np.linalg.cond(S) <= COND_LIMIT
+    X[ok] = np.linalg.solve(S[ok], T[ok])
+    return X
 
 
 def gen_eig(A, B):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, SampleSet
+from .core import Evaluator, ParameterError, SampleSet
 from .kernels import finite_eigenvalues, solve_checked, svd_full
 
 EPS_RANK = 1e-12  # relative singular-value floor for the rank warning
@@ -19,13 +19,15 @@ __all__ = ["LoewnerModel", "partition", "loewner_scalar", "loewner_block", "mode
 
 
 @dataclass(frozen=True)
-class LoewnerModel:
+class LoewnerModel(Evaluator):
     """Projected realization: R(z) = Cr (Ar - z Er)^-1 Br."""
 
     Er: np.ndarray  # (d, d)
     Ar: np.ndarray  # (d, d)
     Br: np.ndarray  # (d, n)
     Cr: np.ndarray  # (m, d)
+
+    _undefined = "numerically singular matrix at z = {z}"
 
     @property
     def order(self):
@@ -36,8 +38,10 @@ class LoewnerModel:
         return self.Cr.shape[0], self.Br.shape[1]
 
     def __call__(self, z):
-        """R(z) = Cr (Ar - z Er)^-1 Br; raises on a singular resolvent."""
-        return self.Cr @ solve_checked(self.Ar - z * self.Er, self.Br, z)
+        """R(z) = Cr (Ar - z Er)^-1 Br; NaN or EvaluationError on a singular resolvent."""
+        zs = self._points(z)
+        S = self.Ar - zs[:, None, None] * self.Er[None]  # equal ndim: see ScalarBarycentric.__call__
+        return self._result(z, self.Cr @ solve_checked(S, np.broadcast_to(self.Br, zs.shape + self.Br.shape)))
 
 
 def partition(points, values):

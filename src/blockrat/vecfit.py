@@ -11,20 +11,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycentric import _support_tol
-from .core import EvaluationError, ParameterError, SampleSet
+from .barycentric import _sums, _support_tol
+from .core import Evaluator, ParameterError, SampleSet
 from .kernels import lstsq
 
 __all__ = ["PoleResidue", "VfOptions", "vf_scalar", "vf_matrix", "initial_poles"]
 
 
 @dataclass(frozen=True)
-class PoleResidue:
+class PoleResidue(Evaluator):
     """R(z) = D + sum_k C_k / (z - xi_k) with matrix constant and residues."""
 
     const: np.ndarray  # (m, n)
     poles: np.ndarray  # (d,)
     residues: np.ndarray  # (d, m, n)
+
+    _undefined = "evaluation at a pole: z = {z}"
 
     def __post_init__(self):
         D = np.atleast_2d(np.asarray(self.const, dtype=complex))
@@ -45,11 +47,13 @@ class PoleResidue:
         return self.const.shape
 
     def __call__(self, z):
+        zs = self._points(z)
+        R = np.broadcast_to(self.const, zs.shape + self.shape).copy()
         if self.poles.size:
-            if np.abs(z - self.poles).min() <= _support_tol(self.poles):
-                raise EvaluationError(f"evaluation at a pole: z = {z}")
-            return self.const + np.tensordot(1.0 / (z - self.poles), self.residues, axes=(0, 0))
-        return self.const.copy()
+            at_pole = np.abs(zs[:, None] - self.poles).min(axis=1) <= _support_tol(self.poles)
+            R[~at_pole] += _sums(1.0 / (zs[~at_pole, None] - self.poles), self.residues)
+            R[at_pole] = np.nan
+        return self._result(z, R)
 
 
 def _cauchy(points, poles):

@@ -42,6 +42,15 @@ class TestSampleSet:
         with pytest.raises(ParameterError):
             SampleSet([1j, 1j], np.zeros((2, 1, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_nonfinite_data_rejected(self, bad):
+        vals = np.ones((3, 2, 2), dtype=complex)
+        vals[1, 0, 1] = bad
+        with pytest.raises(ParameterError):
+            SampleSet([1j, 2j, 3j], vals)
+        with pytest.raises(ParameterError):
+            SampleSet([1j, bad, 3j], np.ones(3))
+
     def test_count_mismatch_rejected(self):
         with pytest.raises(ContractError):
             SampleSet([1j, 2j], np.zeros((3, 1, 1)))
@@ -60,6 +69,18 @@ class TestSampleSet:
         s = SampleSet([1j, 2j, 3j], [1.0, 2.0, 3.0])
         sub = s.subset([0, 2])
         assert np.array_equal(sub.points, [1j, 3j])
+
+    def test_subset_is_read_only(self):
+        sub = SampleSet([1j, 2j, 3j], [1.0, 2.0, 3.0]).subset(np.array([True, False, True]))
+        assert np.array_equal(sub.values[:, 0, 0], [1.0, 3.0])
+        with pytest.raises(ValueError):
+            sub.values[0] = 5.0
+
+    @pytest.mark.parametrize("indices", [[0, 0], [2, -1], np.zeros(3, dtype=bool)])
+    def test_subset_rejects_repeated_points_and_empty_sets(self, indices):
+        s = SampleSet([1j, 2j, 3j], [1.0, 2.0, 3.0])
+        with pytest.raises(ParameterError):
+            s.subset(indices)
 
 
 class TestRmse:

@@ -3,10 +3,12 @@ import pytest
 
 from blockrat.core import NumericalError, ParameterError
 from blockrat.kernels import (
+    COND_LIMIT,
     companion_roots,
     finite_eigenvalues,
     gen_eig,
     lstsq,
+    solve_checked,
     svd_full,
     trailing_left_singular_block,
 )
@@ -86,6 +88,46 @@ class TestTrailingLeftSingularBlock:
     def test_nondividing_height_rejected(self):
         with pytest.raises(ParameterError):
             trailing_left_singular_block(np.eye(5), 2)
+
+    @pytest.mark.parametrize("shape, m", [((6, 40), 2), ((4, 9), 1), ((9, 4), 3), ((12, 5), 4), ((6, 6), 2)])
+    def test_orthonormal_rows_and_trailing_energy(self, shape, m):
+        """Wide, square and tall: W W* = I/m and ||W M||_F^2 = (sum of the m smallest sigma^2)/m.
+
+        For a tall M the left singular vectors past its column count span its
+        left null space and count with sigma = 0.
+        """
+        rng = np.random.default_rng(sum(shape))
+        M = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        W = trailing_left_singular_block(M, m)
+        assert W.shape == (m, shape[0])
+        assert np.linalg.norm(W @ W.conj().T - np.eye(m) / m) <= 1e-14
+        s = np.zeros(shape[0])
+        s[: min(shape)] = np.linalg.svd(M, compute_uv=False)
+        want = np.sqrt(np.sum(np.sort(s)[:m] ** 2) / m)
+        assert np.linalg.norm(W @ M) == pytest.approx(want, rel=1e-12, abs=1e-14 * s[0])
+        if shape[0] - shape[1] >= m:  # m null-space vectors exist
+            assert np.linalg.norm(W @ M) <= 1e-14 * s[0]
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ParameterError):
+            trailing_left_singular_block(np.zeros((0, 3)), 1)
+
+
+class TestSolveChecked:
+    def test_singular_slice_is_nan_and_the_rest_solve(self):
+        rng = np.random.default_rng(13)
+        S = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        S[2] = np.diag([1.0, 1.0, 0.0])
+        S[3, 0] = 1e-15 * S[3, 1]  # numerically singular: condition number above the limit
+        T = rng.normal(size=(4, 3, 2)) + 1j * rng.normal(size=(4, 3, 2))
+        assert np.linalg.cond(S[3]) > COND_LIMIT
+        X = solve_checked(S, T)
+        assert np.isnan(X[2:]).all()
+        for i in (0, 1):
+            assert X[i].tobytes() == np.linalg.solve(S[i], T[i]).tobytes()
+
+    def test_empty_stack(self):
+        assert solve_checked(np.zeros((0, 2, 2)), np.zeros((0, 2, 1))).shape == (0, 2, 1)
 
 
 class TestLstsq:
