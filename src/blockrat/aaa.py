@@ -2,18 +2,21 @@
 surrogate AAA.
 
 Every AAA-family fitter, block-AAA included, runs `_greedy_driver`: pick the
-worst-approximated sample point, promote it to a support point, and re-solve
-a linearized least squares problem for the barycentric weights.  A family
-supplies only its weight solve, its barycentric form with the order-0
-fallback weights, its per-point error and its underdetermination guard.
+sample point with the largest Frobenius-norm error, promote it to a support
+point, and re-solve a linearized least squares problem for the barycentric
+weights.  A family supplies only its weight solve, its barycentric form with
+the order-0 fallback weights and its underdetermination guard.  Set-valued
+AAA is the one scalar-weight family: scalar AAA is set-valued AAA on 1x1
+samples, and surrogate AAA is scalar AAA on a^T F(z) b.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .barycentric import BlockBaryA, ScalarBarycentric
+from .barycentric import BlockBaryA, ScalarBarycentric, _loewner_tensor
 from .core import ParameterError, SampleSet, frobenius_norms
+from .kernels import trailing_right_singular_vector
 
 __all__ = [
     "AaaOptions",
@@ -43,21 +46,21 @@ class AaaOptions:
             raise ParameterError("tolerance must be >= 0")
 
 
-def _greedy_driver(samples, opts, solve_weights, make_model, fallback_weights, err_of, rows_needed):
+def _greedy_driver(samples, opts, solve_weights, make_model, fallback_weights, rows_needed):
     """Shared AAA loop over a SampleSet; returns (model, error trace, skipped).
 
     solve_weights(rest, nodes, node_vals) -> weights, from the remaining samples
-    make_model(nodes, weights, node_vals) -> evaluator
+    make_model(nodes, weights, node_vals) -> evaluator of (N, m, n) stacks
     fallback_weights(k) -> weights of an order-0 model on k support points
-    err_of(residual stack) -> error of each (m, n) block, NaN for a NaN block
     rows_needed(j) -> remaining points the order-j weight solve needs
 
-    Each iteration evaluates the current model once, on all remaining points.
+    The error at a point is the Frobenius norm of its residual block.  Each
+    iteration evaluates the current model once, on all remaining points.
     Points where it cannot be evaluated (NaN blocks) are skipped for
     selection in that iteration and recorded as (iteration, point) pairs.
     """
     points, values = samples.points, samples.values
-    threshold = opts.tol * err_of(values).max()
+    threshold = opts.tol * frobenius_norms(values).max()
 
     remaining = np.ones(samples.ell, dtype=bool)
     mean = values.mean(axis=0)
@@ -69,8 +72,8 @@ def _greedy_driver(samples, opts, solve_weights, make_model, fallback_weights, e
     while True:
         idx = np.flatnonzero(remaining)
         targets = values[idx]
-        approx = mean if model is None else model(points[idx]).reshape(targets.shape)  # (N,) for scalar AAA
-        errs = err_of(targets - approx)
+        approx = mean if model is None else model(points[idx])
+        errs = frobenius_norms(targets - approx)
         bad = np.isnan(errs)
         if bad.any():
             skipped.extend((len(sel), complex(z)) for z in points[idx[bad]])
@@ -100,39 +103,27 @@ def _greedy_driver(samples, opts, solve_weights, make_model, fallback_weights, e
 def _stacked_loewner_weights(rest, nodes, node_vals):
     """Common weights: trailing right singular vector of the stacked
     entrywise Loewner matrices (one per matrix entry, over remaining points)."""
-    L = (rest.values[:, None, :, :] - node_vals[None, :, :, :]) / (
-        rest.points[:, None, None, None] - nodes[None, :, None, None]
-    )  # (ell', j+1, m, n)
-    A = L.transpose(2, 3, 0, 1).reshape(-1, nodes.size)
-    _, _, vh = np.linalg.svd(A, full_matrices=False)
-    return vh[-1].conj()
-
-
-def _scalar_weight_fit(samples, opts, make_model, err_of):
-    """Greedy fit with common scalar weights; needs j+1 remaining points at order j."""
-    model, _, _ = _greedy_driver(
-        samples, opts, _stacked_loewner_weights, make_model, np.ones, err_of, lambda j: j + 1
-    )
-    return model
+    L = _loewner_tensor(rest, nodes, node_vals)  # (j+1, ell', m, n)
+    return trailing_right_singular_vector(L.transpose(2, 3, 1, 0).reshape(-1, nodes.size))
 
 
 def aaa_scalar(points, values, opts=AaaOptions()):
-    """Classic greedy AAA on scalar data; returns a ScalarBarycentric."""
+    """Classic greedy AAA: set-valued AAA on 1x1 samples, as a ScalarBarycentric."""
     points = np.asarray(points, dtype=complex).ravel()
     values = np.asarray(values, dtype=complex).ravel()
     if points.size != values.size:
         raise ParameterError("points and values must have equal length")
-    return _scalar_weight_fit(
-        SampleSet(points, values),
-        opts,
-        lambda nodes, w, fv: ScalarBarycentric(nodes, w, fv[:, 0, 0]),
-        lambda r: np.abs(r).max(axis=(1, 2)),
-    )
+    r = set_valued_aaa(SampleSet(points, values), opts)
+    return ScalarBarycentric(r.nodes, r.weights, r.values[:, 0, 0])
 
 
 def set_valued_aaa(samples, opts=AaaOptions()):
     """AAA with common support points and weights for all matrix entries."""
-    return _scalar_weight_fit(samples, opts, BlockBaryA, frobenius_norms)
+    # the order-j weight solve needs j+1 remaining points
+    model, _, _ = _greedy_driver(
+        samples, opts, _stacked_loewner_weights, BlockBaryA, np.ones, lambda j: j + 1
+    )
+    return model
 
 
 def surrogate_aaa(samples, a, b, opts=AaaOptions()):
@@ -149,7 +140,7 @@ def surrogate_aaa(samples, a, b, opts=AaaOptions()):
     if not np.any(a != 0) or not np.any(b != 0):
         raise ParameterError("direction vectors must be nonzero")
     f = np.einsum("i,kij,j->k", a, samples.values, b)
-    scalar = aaa_scalar(samples.points, f, opts)
+    scalar = set_valued_aaa(SampleSet(samples.points, f), opts)
     lookup = {complex(z): i for i, z in enumerate(samples.points)}
     idx = [lookup[complex(z)] for z in scalar.nodes]
     return BlockBaryA(scalar.nodes, scalar.weights, samples.values[idx])

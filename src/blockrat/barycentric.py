@@ -252,6 +252,13 @@ def _check_disjoint(points, nodes):
         raise ParameterError("support points must be disjoint from sample points")
 
 
+def _loewner_tensor(samples, nodes, node_vals):
+    """(d+1, ell, m, n) tensor of (F(lambda_i) - F_k)/(lambda_i - z_k)."""
+    return (samples.values[None, :, :, :] - node_vals[:, None, :, :]) / (
+        samples.points[None, :, None, None] - nodes[:, None, None, None]
+    )
+
+
 def solve_weights_baryB(samples, support):
     """Least-squares weight matrices for the bary-B form.
 
@@ -265,10 +272,7 @@ def solve_weights_baryB(samples, support):
     _check_nodes(nodes)
     _check_disjoint(samples.points, nodes)
     m, n = samples.shape
-    # (d+1, ell, m, n) block Loewner tensor
-    L = (samples.values[None, :, :, :] - Fsup[:, None, :, :]) / (
-        samples.points[None, :, None, None] - nodes[:, None, None, None]
-    )
+    L = _loewner_tensor(samples, nodes, Fsup)  # (d+1, ell, m, n)
     # stack to m(d+1) x ell*n
     Lmat = L.transpose(0, 2, 1, 3).reshape(nodes.size * m, samples.ell * n)
     W = trailing_left_singular_block(Lmat, m)

@@ -2,9 +2,8 @@
 
 Unlike the set-valued and surrogate AAA variants, the denominator here is a
 matrix-valued sum, so an order-d model can carry up to d*m poles.  Block-AAA
-runs the shared loop of `aaa._greedy_driver` with the bary-B weight solve,
-Frobenius-norm errors, and a guard that keeps going while any sample row
-remains.
+runs the shared loop of `aaa._greedy_driver` with the bary-B weight solve and
+a guard that keeps going while any sample row remains.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +12,6 @@ import numpy as np
 
 from .aaa import AaaOptions, _greedy_driver
 from .barycentric import BlockBaryB, solve_weights_baryB
-from .core import frobenius_norms
 
 __all__ = ["BlockAaaResult", "block_aaa"]
 
@@ -43,6 +41,5 @@ def block_aaa(samples, opts=AaaOptions()):
         _block_weights,
         BlockBaryB,
         lambda k: np.tile(np.eye(m) / np.sqrt(k * m), (k, 1, 1)),
-        frobenius_norms,
         lambda j: 1,
     ))

@@ -25,6 +25,7 @@ __all__ = [
     "SvdResult",
     "svd_full",
     "trailing_left_singular_block",
+    "trailing_right_singular_vector",
     "lstsq",
     "solve_checked",
     "gen_eig",
@@ -40,14 +41,19 @@ class SvdResult:
     v: np.ndarray  # column-orthonormal right singular vectors (M = u @ diag(s) @ v*)
 
 
-def svd_full(M):
+def _svd(M, full_matrices):
+    """The SVD of M as a complex matrix: the one SVD call of the package."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.size == 0:
         raise ParameterError("cannot take the SVD of an empty matrix")
     try:
-        u, s, vh = np.linalg.svd(M, full_matrices=True)
+        return np.linalg.svd(M, full_matrices=full_matrices)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"SVD did not converge for shape {M.shape}: {e}") from e
+
+
+def svd_full(M):
+    u, s, vh = _svd(M, True)
     return SvdResult(u, s, vh.conj().T)
 
 
@@ -58,17 +64,17 @@ def trailing_left_singular_block(M, m):
     unit-Frobenius-norm W with orthonormal rows this minimizes ||W @ M||_F.
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
-    if M.size == 0:
-        raise ParameterError("cannot take the SVD of an empty matrix")
     if M.shape[0] % m != 0:
         raise ParameterError(f"block height {m} does not divide {M.shape[0]} rows")
     # only u is used: the economy SVD gives all of it for a wide M, and a tall
     # M needs the full u, whose trailing columns span its left null space
-    try:
-        u = np.linalg.svd(M, full_matrices=M.shape[0] > M.shape[1])[0]
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"SVD did not converge for shape {M.shape}: {e}") from e
+    u = _svd(M, M.shape[0] > M.shape[1])[0]
     return u[:, -m:].conj().T / np.sqrt(m)
+
+
+def trailing_right_singular_vector(A):
+    """The unit vector c minimizing ||A @ c||_2: the last right singular vector."""
+    return _svd(A, False)[2][-1].conj()
 
 
 def lstsq(A, B):

@@ -27,7 +27,6 @@ __all__ = ["Pencil", "bary_poly_weights", "build_pencil", "pencil_eigs", "nonlin
 class Pencil:
     L0: np.ndarray  # (d*s, d*s)
     L1: np.ndarray
-    nodes: np.ndarray
 
 
 def bary_poly_weights(nodes):
@@ -86,7 +85,7 @@ def build_pencil(C, nodes):
     L0[i, :, i, :] = -nodes[i, None, None] * eye
     L1[i, :, i - 1, :] = eye
     L1[i, :, i, :] = -eye
-    return Pencil(L0.reshape(d * s, d * s), L1.reshape(d * s, d * s), nodes)
+    return Pencil(L0.reshape(d * s, d * s), L1.reshape(d * s, d * s))
 
 
 def pencil_eigs(pencil):

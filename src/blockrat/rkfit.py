@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NumericalError, ParameterError
-from .kernels import lstsq
+from .kernels import lstsq, trailing_right_singular_vector
 from .linearize import bary_poly_weights, build_pencil, pencil_eigs
 from .vecfit import PoleResidue, _cauchy, _dedupe, _denominator_zeros, _fit_residues, _start_poles
 
@@ -66,7 +66,7 @@ def build_basis(points, poles, degree=None):
         qvals *= points - xi
     scale = max(np.max(np.abs(points)), 1.0)
     # incremental (Arnoldi-style) construction: one pole per step, with
-    # doubled modified Gram-Schmidt; finite poles first, the remaining steps
+    # classical Gram-Schmidt run twice; finite poles first, the remaining steps
     # multiply by the (scaled) variable.  Far better conditioned than
     # orthonormalizing monomial-over-q columns in one shot.
     ell = points.size
@@ -123,8 +123,7 @@ def relocate_poles(basis, sample_functions):
     V = basis.V
     proj = np.eye(V.shape[0]) - V @ V.conj().T
     blocks = [proj @ (np.asarray(f, dtype=complex)[:, None] * V) for f in sample_functions]
-    _, _, vh = np.linalg.svd(np.vstack(blocks), full_matrices=False)
-    c = vh[-1].conj()
+    c = trailing_right_singular_vector(np.vstack(blocks))
     vhat = V @ c
     pvals = vhat * basis.qvals  # numerator samples of the degree-<=d rational vhat
     if np.max(np.abs(pvals)) <= 1e3 * np.finfo(float).eps * np.max(np.abs(basis.qvals)):

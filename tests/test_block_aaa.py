@@ -65,3 +65,17 @@ class TestBlockAaa:
         # block-AAA keeps going while any sample row remains
         res = block_aaa(random_samples(ell), AaaOptions(tol=0.0))
         assert res.model.order == order
+
+    def test_singular_denominator_points_skipped(self):
+        # F = diag(1/(z+1), 0): the zero entry gets a zero weight column, so
+        # the order-1 denominator sum is singular at every remaining point
+        pts = logspace_imaginary(1, 10, 20)
+        F = np.zeros((20, 2, 2), dtype=complex)
+        F[:, 0, 0] = 1 / (pts + 1)
+        res = block_aaa(SampleSet(pts, F), AaaOptions(max_order=5))
+        assert res.model.order == 1
+        assert len(res.errors) == 2
+        assert len(res.skipped) == 18
+        assert {it for it, _ in res.skipped} == {2}
+        assert sorted(z.imag for _, z in res.skipped) == sorted(
+            z.imag for z in pts if z not in set(res.model.nodes))

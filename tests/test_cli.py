@@ -174,6 +174,43 @@ class TestMain:
         assert exc.value.code == 2
         assert "--trace" in capsys.readouterr().err
 
+    def _rows(self, tmp_path, *args):
+        out = tmp_path / "cell.csv"
+        code = main([*args, "--repeats", "1", "--out", str(out)])
+        return code, list(csv.DictReader(out.open()))
+
+    def test_against_truth_scores_the_clean_function(self, tmp_path):
+        # RKFIT filters the noise: closer to the clean truth than to the samples
+        args = ["--problem", "scalar-noise", "--method", "rkfit", "--orders", "3"]
+        code, truth = self._rows(tmp_path, *args, "--against-truth")
+        assert code == 0
+        code, noisy = self._rows(tmp_path, *args)
+        assert code == 0
+        assert float(truth[0]["rmse"]) == pytest.approx(0.0054, abs=5e-5)
+        assert float(noisy[0]["rmse"]) == pytest.approx(0.0150, abs=5e-5)
+
+    def test_seeded_noise_is_reproducible(self, tmp_path):
+        args = ["--problem", "toy1", "--noise", "1e-3", "--seed", "1", "--method", "block-aaa",
+                "--orders", "5"]
+        code, a = self._rows(tmp_path, *args)
+        assert code == 0
+        code, b = self._rows(tmp_path, *args)
+        assert code == 0
+        assert [r["rmse"] for r in a] == [r["rmse"] for r in b]
+        assert float(a[0]["rmse"]) == pytest.approx(0.0126, abs=5e-5)
+
+    def test_aaa_scalar_on_scalar_problem(self, tmp_path):
+        code, rows = self._rows(tmp_path, "--problem", "scalar-noise", "--method", "aaa-scalar",
+                                "--orders", "3")
+        assert code == 0
+        assert rows[0]["status"] == "ok"
+
+    def test_unknown_method_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "toy1", "--method", "nope", "--orders", "3", "--repeats", "1"])
+        assert exc.value.code == 2
+        assert "unknown method" in capsys.readouterr().err
+
     def test_stdout_and_file_share_csv_format(self, tmp_path, capsys):
         args = ["--problem", "toy1", "--method", "loewner", "--orders", "1:2", "--repeats", "1"]
         out = tmp_path / "run.csv"

@@ -11,6 +11,7 @@ from blockrat.kernels import (
     solve_checked,
     svd_full,
     trailing_left_singular_block,
+    trailing_right_singular_vector,
 )
 
 
@@ -111,6 +112,32 @@ class TestTrailingLeftSingularBlock:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ParameterError):
             trailing_left_singular_block(np.zeros((0, 3)), 1)
+
+
+class TestTrailingRightSingularVector:
+    def test_minimal_residual_unit_vector(self):
+        rng = np.random.default_rng(4)
+        A = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
+        c = trailing_right_singular_vector(A)
+        assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-14)
+        smin = np.linalg.svd(A, compute_uv=False)[-1]
+        assert np.linalg.norm(A @ c) == pytest.approx(smin, rel=1e-12)
+
+    def test_exact_null_vector(self):
+        A = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        c = trailing_right_singular_vector(A)
+        assert np.linalg.norm(A @ c) <= 1e-14
+        assert abs(abs(c[0]) - np.sqrt(0.5)) <= 1e-14
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ParameterError):
+            trailing_right_singular_vector(np.zeros((0, 3)))
+
+    def test_nonfinite_matrix_raises_numerical_error(self):
+        A = np.ones((4, 2))
+        A[1, 1] = np.nan
+        with pytest.raises(NumericalError):
+            trailing_right_singular_vector(A)
 
 
 class TestSolveChecked:

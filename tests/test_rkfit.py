@@ -3,6 +3,7 @@ import pytest
 
 from blockrat import (
     NoiseSpec,
+    NumericalError,
     ParameterError,
     RkfitOptions,
     SampleSet,
@@ -70,6 +71,13 @@ class TestRelocatePoles:
         p1 = np.sort_complex(relocate_poles(basis, [f]))
         p2 = np.sort_complex(relocate_poles(basis, [7.3 * f]))
         assert np.linalg.norm(p1 - p2) <= 1e-8 * max(1.0, np.linalg.norm(p1))
+
+    def test_svd_failure_is_numerical_error(self):
+        pts = logspace_imaginary(1, 10, 12)
+        f = 1.0 / (pts + 2)
+        f[3] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            relocate_poles(build_basis(pts, [], degree=2), [f])
 
 
 class TestRkfitFit:

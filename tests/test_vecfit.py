@@ -110,6 +110,12 @@ class TestVfMatrix:
         r = vf_matrix(toy1.samples, 6, VfOptions(iterations=5, enforce_stability=True))
         assert np.all(r.poles.real <= 0)
 
+    def test_coinciding_start_poles_nudged_apart(self, toy1):
+        given = np.array([-1, -1, -2 + 1j, -2 - 1j], dtype=complex)
+        r = vf_matrix(toy1.samples, 4, VfOptions(iterations=1, initial_poles=given))
+        assert np.unique(r.poles).size == 4
+        assert np.array_equal(given, [-1, -1, -2 + 1j, -2 - 1j])
+
 
 class TestInitialPoles:
     def test_count_and_conjugate_pairs(self):
