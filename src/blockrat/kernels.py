@@ -4,6 +4,19 @@ Thin wrappers around LAPACK (via numpy/scipy) with the conventions the
 fitters rely on: descending singular values, minimum-norm least squares,
 the singularity-checked solve every matrix model evaluates with, (alpha,
 beta) generalized eigenvalue pairs, and companion-matrix roots.
+
+Two kernels skip work their callers never read, and keep LAPACK's bits:
+
+* `solve_checked` decides singularity by `np.linalg.cond`, a full SVD per
+  block.  A 2x2 block first goes through a closed-form screen,
+  cond_2(S) <= ||S||_F^2 / |det S| (equal to c + 1/c); a block the screen
+  places 100x below COND_LIMIT cannot exceed it, so only the others reach
+  `np.linalg.cond`.  Blocks with a non-finite entry are NaN without a LAPACK
+  call.
+* `trailing_right_singular_vector` of a tall A takes the SVD of A's R
+  factor.  From floor(17 cols / 9) rows on (LAPACK's MNTHR1), zgesdd factors
+  A = QR itself and bidiagonalizes R; asking numpy for R alone skips the
+  rows x cols Q that the economy SVD forms and the caller discards.
 """
 
 import warnings
@@ -73,8 +86,15 @@ def trailing_left_singular_block(M, m):
 
 
 def trailing_right_singular_vector(A):
-    """The unit vector c minimizing ||A @ c||_2: the last right singular vector."""
-    return _svd(A, False)[2][-1].conj()
+    """The unit vector c minimizing ||A @ c||_2: the last right singular vector.
+
+    For a wide A (rows < cols) this is a null vector, from the full V.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=complex))
+    rows, cols = A.shape
+    if rows >= 17 * cols // 9:
+        A = np.linalg.qr(A, mode="r")  # zgesdd's own R: same bits, no Q
+    return _svd(A, rows < cols)[2][-1].conj()
 
 
 def lstsq(A, B):
@@ -92,14 +112,35 @@ def lstsq(A, B):
     return X
 
 
+def _surely_well_conditioned(S):
+    """For an (N, 2, 2) stack: which blocks surely have cond_2 <= COND_LIMIT / 100.
+
+    ||S||_F^2 / |det S| = (s1^2 + s2^2) / (s1 s2) = c + 1/c bounds c = cond_2.
+    Each block is scaled by its largest real or imaginary part, so that
+    neither ||S||_F^2 nor det S overflows, and det S underflows only where it
+    is too small to clear the block; a zero block turns NaN and is not
+    cleared.  A cleared block has |det| >= 1e-12 ||S||_F^2, so the few ulps of
+    ||S||_F^2 that the computed det can be off move the bound by under 0.1%.
+    """
+    scale = np.maximum(np.abs(S.real), np.abs(S.imag)).max(axis=(1, 2))
+    with np.errstate(invalid="ignore"):
+        A = S / scale[:, None, None]
+        fro2 = np.sum(A.real**2 + A.imag**2, axis=(1, 2))
+        det = np.abs(A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0])
+        return fro2 <= COND_LIMIT / 100 * det
+
+
 def solve_checked(S, T):
     """S_i^-1 T_i for each pair of an (N, k, k) and an (N, k, n) stack.
 
-    Where S_i is numerically singular (condition number above COND_LIMIT) the
-    block is NaN instead: a model evaluated there is not evaluable.
+    Where S_i is numerically singular (condition number above COND_LIMIT) or
+    not finite, the block is NaN instead: a model evaluated there is not
+    evaluable.
     """
     X = np.full(T.shape, np.nan, dtype=complex)
-    ok = np.linalg.cond(S) <= COND_LIMIT
+    ok = np.isfinite(S).all(axis=(1, 2))
+    unsure = ok & ~_surely_well_conditioned(S) if S.shape[1] == 2 else ok.copy()
+    ok[unsure] = np.linalg.cond(S[unsure]) <= COND_LIMIT
     X[ok] = np.linalg.solve(S[ok], T[ok])
     return X
 

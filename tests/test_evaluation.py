@@ -242,3 +242,23 @@ def test_rmse_raises_at_the_first_point_a_model_cannot_evaluate():
     model = PoleResidue(np.zeros((1, 1)), [1.0, 5.0], np.ones((2, 1, 1)))
     with pytest.raises(EvaluationError, match=r"^evaluation at a pole: z = \(1\+0j\)$"):
         rmse(samples, model)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: ScalarBarycentric(_cplx(rng, 3), _cplx(rng, 3), _cplx(rng, 3)),
+        lambda rng: BlockBaryA(_cplx(rng, 3), _cplx(rng, 3), _cplx(rng, 3, 2, 2)),
+        lambda rng: BlockBaryB(_cplx(rng, 3), _cplx(rng, 3, 2, 2), _cplx(rng, 3, 2, 2)),
+        lambda rng: BlockBaryC(_cplx(rng, 3), _cplx(rng, 3, 2, 2), _cplx(rng, 3, 2, 2)),
+        lambda rng: PoleResidue(_cplx(rng, 2, 2), _cplx(rng, 3), _cplx(rng, 3, 2, 2)),
+        lambda rng: LoewnerModel(_cplx(rng, 3, 3), _cplx(rng, 3, 3), _cplx(rng, 3, 2), _cplx(rng, 2, 3)),
+    ],
+    ids=["ScalarBarycentric", "BlockBaryA", "BlockBaryB", "BlockBaryC", "PoleResidue", "LoewnerModel"],
+)
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # numpy's, on NaN arithmetic
+def test_nan_point_is_undefined_there_only(make):
+    model = make(np.random.default_rng(5))
+    with pytest.raises(EvaluationError):
+        model(complex(np.nan, 0))
+    assert assert_array_is_scalar_stack(model, np.array([0.3 + 0.1j, np.nan, 1.7j, complex(1, np.nan)])) == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockrat.core import NumericalError, ParameterError
 from blockrat.kernels import (
@@ -139,8 +141,66 @@ class TestTrailingRightSingularVector:
         with pytest.raises(NumericalError):
             trailing_right_singular_vector(A)
 
+    def test_wide_matrix_gives_a_null_vector(self):
+        rng = np.random.default_rng(14)
+        A = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
+        c = trailing_right_singular_vector(A)
+        assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(A @ c) <= 1e-14 * np.linalg.norm(A)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 40), st.booleans())
+    def test_tall_matrix_keeps_the_economy_svd_bits(self, seed, cols, extra, rank_deficient):
+        """From floor(17 cols / 9) rows on, the result is the economy SVD's last row of V*, byte for byte."""
+        rng = np.random.default_rng(seed)
+        rows = 17 * cols // 9 + extra
+        A = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        if rank_deficient and cols > 1:
+            A[:, -1] = (0.5 - 2j) * A[:, 0]
+        want = np.linalg.svd(A, full_matrices=False)[2][-1].conj()
+        assert trailing_right_singular_vector(A).tobytes() == want.tobytes()
+
+
+def _cond_then_solve(S, T):
+    """The reference: NaN unless S_i is finite with np.linalg.cond(S_i) <= COND_LIMIT."""
+    X = np.full(T.shape, np.nan, dtype=complex)
+    for i in range(len(S)):
+        if np.isfinite(S[i]).all() and np.linalg.cond(S[i]) <= COND_LIMIT:
+            X[i] = np.linalg.solve(S[i], T[i])
+    return X
+
+
+def _unitary(rng, k):
+    return np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))[0]
+
+
+def _blocks_of_known_condition(rng, k, log10_conds, log10_scales):
+    """U diag(s) V* per block, s log-spaced from 1 down to 1/cond, times a scale."""
+    S = np.empty((len(log10_conds), k, k), dtype=complex)
+    for i, (c, a) in enumerate(zip(log10_conds, log10_scales)):
+        s = 10.0 ** (a - np.linspace(0, c, k))
+        S[i] = (_unitary(rng, k) * s) @ _unitary(rng, k).conj().T
+    return S
+
 
 class TestSolveChecked:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 2, 3]), st.integers(1, 3))
+    def test_matches_cond_then_solve_bytes(self, seed, k, n):
+        """Condition numbers log-uniform in [1, 1e17] and clustered at COND_LIMIT,
+        scales 1e-300 to 1e300, and zero, rank-one and non-finite blocks."""
+        rng = np.random.default_rng(seed)
+        conds = np.concatenate([rng.uniform(0, 17, 60), rng.uniform(13.9, 14.1, 60)])
+        scales = np.concatenate([rng.uniform(-2, 2, 60), rng.uniform(-300, 300, 60)])
+        S = _blocks_of_known_condition(rng, k, conds, rng.permutation(scales))
+        rank_one = rng.normal(size=(6, k, 1)) @ rng.normal(size=(6, 1, k)) * (1 + 1j)
+        special = np.concatenate([np.zeros((2, k, k)), rank_one, rank_one * 1e-300, rank_one * 1e300])
+        bad = S[:4].copy()
+        bad[:, 0, -1] = [np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1)]
+        S = rng.permutation(np.concatenate([S, special, bad]))
+        T = rng.normal(size=(len(S), k, n)) + 1j * rng.normal(size=(len(S), k, n))
+        assert solve_checked(S, T).tobytes() == _cond_then_solve(S, T).tobytes()
+
     def test_singular_slice_is_nan_and_the_rest_solve(self):
         rng = np.random.default_rng(13)
         S = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
