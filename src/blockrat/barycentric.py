@@ -43,10 +43,16 @@ def _check_nodes(nodes):
 
 
 def _nearest(nodes, zs):
-    """(on, k): whether each point lies on a support point, and its nearest node."""
+    """(on, off, k): which points lie on a support point, which lie off every
+    support point, and the nearest node of each.
+
+    A NaN point is neither on nor off: its block stays NaN, and it is left
+    out of the divisions by z - z_k, which would only warn.
+    """
     dist = np.abs(zs[:, None] - nodes[None, :])
     k = np.argmin(dist, axis=1)
-    return dist[np.arange(zs.size), k] <= _support_tol(nodes), k
+    on = dist[np.arange(zs.size), k] <= _support_tol(nodes)
+    return on, ~on & ~np.isnan(zs), k
 
 
 def _sums(c, A):
@@ -70,10 +76,10 @@ def _scalar_weight_quotient(model, zs, numer):
     `numer(c)` forms the numerator sums of the rows of c.  NaN where the
     denominator sum vanishes.
     """
-    on, k = _nearest(model.nodes, zs)
+    on, off, k = _nearest(model.nodes, zs)
     R = np.full(zs.shape + model.values.shape[1:], np.nan, dtype=complex)
     R[on] = model.values[k[on]]
-    off = np.flatnonzero(~on)
+    off = np.flatnonzero(off)
     c = model.weights / (zs[off, None] - model.nodes)
     den = np.sum(c, axis=1)
     ok = den != 0
@@ -191,11 +197,11 @@ class BlockBaryB(Evaluator):
 
     def __call__(self, z):
         zs = self._points(z)
-        on, k = _nearest(self.nodes, zs)
-        R = np.empty(zs.shape + self.shape, dtype=complex)
+        on, off, k = _nearest(self.nodes, zs)
+        R = np.full(zs.shape + self.shape, np.nan, dtype=complex)
         R[on] = self.values[k[on]]
-        c = 1.0 / (zs[~on, None] - self.nodes)
-        R[~on] = solve_checked(_sums(c, self.weights), _sums(c, self.weighted))
+        c = 1.0 / (zs[off, None] - self.nodes)
+        R[off] = solve_checked(_sums(c, self.weights), _sums(c, self.weighted))
         return self._result(z, R)
 
 
@@ -238,12 +244,13 @@ class BlockBaryC(Evaluator):
 
     def __call__(self, z):
         zs = self._points(z)
-        on, k = _nearest(self.nodes, zs)
-        S = np.empty(zs.shape + self.denom.shape[1:], dtype=complex)
-        T = np.empty(zs.shape + self.shape, dtype=complex)
+        on, off, k = _nearest(self.nodes, zs)
+        # a NaN point keeps a NaN S, which solve_checked turns into a NaN block
+        S = np.full(zs.shape + self.denom.shape[1:], np.nan, dtype=complex)
+        T = np.full(zs.shape + self.shape, np.nan, dtype=complex)
         S[on], T[on] = self.denom[k[on]], self.numer[k[on]]
-        c = 1.0 / (zs[~on, None] - self.nodes)
-        S[~on], T[~on] = _sums(c, self.denom), _sums(c, self.numer)
+        c = 1.0 / (zs[off, None] - self.nodes)
+        S[off], T[off] = _sums(c, self.denom), _sums(c, self.numer)
         return self._result(z, solve_checked(S, T))
 
 

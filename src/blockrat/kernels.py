@@ -1,9 +1,16 @@
 """Dense complex linear-algebra contract shared by every fitter.
 
-Thin wrappers around LAPACK (via numpy/scipy) with the conventions the
-fitters rely on: descending singular values, minimum-norm least squares,
-the singularity-checked solve every matrix model evaluates with, (alpha,
-beta) generalized eigenvalue pairs, and companion-matrix roots.
+Thin wrappers around LAPACK with the conventions the fitters rely on:
+descending singular values, minimum-norm least squares, the
+singularity-checked solve every matrix model evaluates with, and (alpha,
+beta) generalized eigenvalue pairs.
+
+Everything here runs on numpy except `gen_eig`, numpy having no QZ: it
+imports scipy.linalg on its first call.  So the AAA family, vector fitting
+and the Loewner fit itself run on numpy alone, and scipy loads only where a
+generalized eigenproblem is solved: RKFIT's pole relocation, the pencil
+linearization (`pencil_eigs`, `nonlinear_eigs_baryC`) and
+`loewner.model_poles`.
 
 Two kernels skip work their callers never read, and keep LAPACK's bits:
 
@@ -23,13 +30,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import NumericalError, ParameterError
 
 # relative thresholds: double-precision noise floor with headroom
 EPS_FINITE = 1e-12  # |beta| below this (relative) flags an infinite eigenvalue
-EPS_TRIM = 1e-13  # trailing polynomial coefficients below this are dropped
 # matrix "inverses" in model evaluation are linear solves; beyond this
 # condition estimate the matrix is declared singular instead of returning garbage
 COND_LIMIT = 1e14
@@ -43,7 +48,6 @@ __all__ = [
     "solve_checked",
     "gen_eig",
     "finite_eigenvalues",
-    "companion_roots",
 ]
 
 
@@ -155,6 +159,8 @@ def gen_eig(A, B):
     B = np.atleast_2d(np.asarray(B, dtype=complex))
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise ParameterError(f"need equal square matrices, got {A.shape}, {B.shape}")
+    import scipy.linalg  # here, not at module scope: nothing else needs scipy
+
     try:
         alpha, beta = scipy.linalg.eig(A, B, right=False, homogeneous_eigvals=True)
     except scipy.linalg.LinAlgError as e:
@@ -174,16 +180,3 @@ def finite_eigenvalues(A, B):
         [a / b for a, b in gen_eig(A, B) if abs(b) > floor], dtype=complex
     )
 
-
-def companion_roots(coeffs):
-    """All roots of the polynomial with ascending-degree coefficients."""
-    c = np.asarray(coeffs, dtype=complex).ravel()
-    if c.size == 0 or not np.any(c != 0):
-        raise ParameterError("zero polynomial has no well-defined roots")
-    cmax = np.max(np.abs(c))
-    deg = c.size - 1
-    while deg > 0 and abs(c[deg]) <= EPS_TRIM * cmax:
-        deg -= 1
-    if deg == 0:
-        return np.array([], dtype=complex)
-    return np.roots(c[deg::-1]).astype(complex)

@@ -20,7 +20,7 @@ import numpy as np
 from .core import ParameterError
 from .kernels import finite_eigenvalues
 
-__all__ = ["Pencil", "bary_poly_weights", "build_pencil", "pencil_eigs", "nonlinear_eigs_baryC", "eval_node_polynomial"]
+__all__ = ["Pencil", "bary_poly_weights", "build_pencil", "pencil_eigs", "nonlinear_eigs_baryC"]
 
 
 @dataclass(frozen=True)
@@ -38,16 +38,6 @@ def bary_poly_weights(nodes):
     for k in range(nodes.size):
         w[k] = 1.0 / np.prod(np.delete(nodes, k) - nodes[k])
     return w
-
-
-def eval_node_polynomial(C, nodes, z):
-    """N(z) = sum_k C_k * prod_{j != k} (z - z_j), evaluated directly."""
-    C = np.asarray(C, dtype=complex)
-    nodes = np.asarray(nodes, dtype=complex).ravel()
-    out = np.zeros(C.shape[1:], dtype=complex)
-    for k in range(nodes.size):
-        out += C[k] * np.prod(z - np.delete(nodes, k))
-    return out
 
 
 def build_pencil(C, nodes):

@@ -51,8 +51,9 @@ class PoleResidue(Evaluator):
         R = np.broadcast_to(self.const, zs.shape + self.shape).copy()
         if self.poles.size:
             at_pole = np.abs(zs[:, None] - self.poles).min(axis=1) <= _support_tol(self.poles)
-            R[~at_pole] += _sums(1.0 / (zs[~at_pole, None] - self.poles), self.residues)
-            R[at_pole] = np.nan
+            undefined = at_pole | np.isnan(zs)  # a NaN point is left out of the division, which would only warn
+            R[~undefined] += _sums(1.0 / (zs[~undefined, None] - self.poles), self.residues)
+            R[undefined] = np.nan
         return self._result(z, R)
 
 

@@ -33,8 +33,7 @@ from blockrat import (
     vf_matrix,
 )
 from blockrat.cli import problem_toy1, problem_toy2, problem_buckling
-from blockrat.kernels import companion_roots
-from blockrat.linearize import eval_node_polynomial
+from tests.oracles import companion_roots, eval_node_polynomial
 
 NOISE_SEED = 2023  # documented fixed seed for the noise study
 

@@ -256,7 +256,7 @@ def test_rmse_raises_at_the_first_point_a_model_cannot_evaluate():
     ],
     ids=["ScalarBarycentric", "BlockBaryA", "BlockBaryB", "BlockBaryC", "PoleResidue", "LoewnerModel"],
 )
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # numpy's, on NaN arithmetic
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_point_is_undefined_there_only(make):
     model = make(np.random.default_rng(5))
     with pytest.raises(EvaluationError):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from blockrat.core import NumericalError, ParameterError
 from blockrat.kernels import (
     COND_LIMIT,
-    companion_roots,
     finite_eigenvalues,
     gen_eig,
     lstsq,
@@ -15,6 +14,7 @@ from blockrat.kernels import (
     trailing_left_singular_block,
     trailing_right_singular_vector,
 )
+from tests.oracles import companion_roots
 
 
 class TestSvdFull:

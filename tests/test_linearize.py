@@ -9,7 +9,7 @@ from blockrat import (
     nonlinear_eigs_baryC,
     pencil_eigs,
 )
-from blockrat.linearize import eval_node_polynomial
+from tests.oracles import eval_node_polynomial
 
 
 def interp_blocks(nodes, values):
