@@ -19,6 +19,7 @@ from .block_aaa import BlockAaaResult, block_aaa
 from .core import (
     ContractError,
     EvaluationError,
+    FitResult,
     NoiseSpec,
     NumericalError,
     ParameterError,
@@ -29,7 +30,7 @@ from .core import (
 )
 from .linearize import Pencil, bary_poly_weights, build_pencil, nonlinear_eigs_baryC, pencil_eigs
 from .loewner import LoewnerModel, loewner_block, loewner_scalar, model_poles, partition
-from .rkfit import RationalBasis, RkfitOptions, build_basis, relocate_poles, rkfit_fit
+from .rkfit import RationalBasis, RkfitOptions, RkfitResult, build_basis, relocate_poles, rkfit_fit
 from .vecfit import PoleResidue, VfOptions, vf_matrix, vf_scalar
 
 __version__ = "0.1.0"

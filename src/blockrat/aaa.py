@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barycentric import BlockBaryA, ScalarBarycentric, _loewner_tensor
-from .core import ParameterError, SampleSet, frobenius_norms
+from .core import FitResult, ParameterError, SampleSet, frobenius_norms
 from .kernels import trailing_right_singular_vector
 
 __all__ = [
@@ -47,7 +47,7 @@ class AaaOptions:
 
 
 def _greedy_driver(samples, opts, solve_weights, make_model, fallback_weights, rows_needed):
-    """Shared AAA loop over a SampleSet; returns (model, error trace, skipped).
+    """Shared AAA loop over a SampleSet; returns a FitResult.
 
     solve_weights(rest, nodes, node_vals) -> weights, from the remaining samples
     make_model(nodes, weights, node_vals) -> evaluator of (N, m, n) stacks
@@ -79,12 +79,12 @@ def _greedy_driver(samples, opts, solve_weights, make_model, fallback_weights, r
             skipped.extend((len(sel), complex(z)) for z in points[idx[bad]])
             errs[bad] = -np.inf
         if not np.isfinite(errs).any():
-            return model, trace, skipped
+            break
         t = int(np.argmax(errs))  # argmax takes the lowest index on ties
         pick = idx[t]
         trace.append(float(errs[t]))
         if model is not None and trace[-1] <= threshold:
-            return model, trace, skipped
+            break
         sel.append(pick)
         remaining[pick] = False
         j = len(sel) - 1  # current order
@@ -93,11 +93,12 @@ def _greedy_driver(samples, opts, solve_weights, make_model, fallback_weights, r
             # weight LS becomes underdetermined; keep the previous model
             if model is None:
                 model = make_model(points[sel], fallback_weights(len(sel)), values[sel])
-            return model, trace, skipped
+            break
         w = solve_weights(samples.subset(rem), points[sel], values[sel])
         model = make_model(points[sel], w, values[sel])
         if j >= opts.max_order:
-            return model, trace, skipped
+            break
+    return FitResult(model, trace, skipped)
 
 
 def _stacked_loewner_weights(rest, nodes, node_vals):
@@ -120,10 +121,9 @@ def aaa_scalar(points, values, opts=AaaOptions()):
 def set_valued_aaa(samples, opts=AaaOptions()):
     """AAA with common support points and weights for all matrix entries."""
     # the order-j weight solve needs j+1 remaining points
-    model, _, _ = _greedy_driver(
+    return _greedy_driver(
         samples, opts, _stacked_loewner_weights, BlockBaryA, np.ones, lambda j: j + 1
-    )
-    return model
+    ).model
 
 
 def surrogate_aaa(samples, a, b, opts=AaaOptions()):

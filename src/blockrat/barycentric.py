@@ -87,6 +87,19 @@ def _scalar_weight_quotient(model, zs, numer):
     return R
 
 
+def _matrix_weight_quotient(model, zs, at_nodes, D, N):
+    """(sum_k c_k D_k)^-1 (sum_k c_k N_k) with c_k = 1/(z - z_k), and at_nodes(k) at z_k.
+
+    NaN at a NaN point and where the denominator sum is numerically singular.
+    """
+    on, off, k = _nearest(model.nodes, zs)
+    R = np.full(zs.shape + model.shape, np.nan, dtype=complex)
+    R[on] = at_nodes(k[on])
+    c = 1.0 / (zs[off, None] - model.nodes)
+    R[off] = solve_checked(_sums(c, D), _sums(c, N))
+    return R
+
+
 @dataclass(frozen=True)
 class ScalarBarycentric(Evaluator):
     """r(z) = sum_k w_k f_k / (z - z_k)  /  sum_k w_k / (z - z_k)."""
@@ -197,12 +210,7 @@ class BlockBaryB(Evaluator):
 
     def __call__(self, z):
         zs = self._points(z)
-        on, off, k = _nearest(self.nodes, zs)
-        R = np.full(zs.shape + self.shape, np.nan, dtype=complex)
-        R[on] = self.values[k[on]]
-        c = 1.0 / (zs[off, None] - self.nodes)
-        R[off] = solve_checked(_sums(c, self.weights), _sums(c, self.weighted))
-        return self._result(z, R)
+        return self._result(z, _matrix_weight_quotient(self, zs, lambda k: self.values[k], self.weights, self.weighted))
 
 
 @dataclass(frozen=True)
@@ -244,14 +252,8 @@ class BlockBaryC(Evaluator):
 
     def __call__(self, z):
         zs = self._points(z)
-        on, off, k = _nearest(self.nodes, zs)
-        # a NaN point keeps a NaN S, which solve_checked turns into a NaN block
-        S = np.full(zs.shape + self.denom.shape[1:], np.nan, dtype=complex)
-        T = np.full(zs.shape + self.shape, np.nan, dtype=complex)
-        S[on], T[on] = self.denom[k[on]], self.numer[k[on]]
-        c = 1.0 / (zs[off, None] - self.nodes)
-        S[off], T[off] = _sums(c, self.denom), _sums(c, self.numer)
-        return self._result(z, solve_checked(S, T))
+        return self._result(z, _matrix_weight_quotient(
+            self, zs, lambda k: solve_checked(self.denom[k], self.numer[k]), self.denom, self.numer))
 
 
 def _check_disjoint(points, nodes):
@@ -266,24 +268,26 @@ def _loewner_tensor(samples, nodes, node_vals):
     )
 
 
-def solve_weights_baryB(samples, support):
+def solve_weights_baryB(samples, nodes, values):
     """Least-squares weight matrices for the bary-B form.
 
-    `support` is a sequence of (z_k, F_k) pairs.  Assembles the block Loewner
-    matrix with (k, i) block (F(lambda_i) - F_k)/(lambda_i - z_k) and returns
-    the weight list from its trailing left singular block (unit Frobenius
-    norm over the stack).
+    `nodes` are the support points z_k and `values` the (d+1, m, n) stack of
+    F_k.  Assembles the block Loewner matrix with (k, i) block
+    (F(lambda_i) - F_k)/(lambda_i - z_k) and returns the (d+1, m, m) weight
+    stack from its trailing left singular block (unit Frobenius norm over the
+    stack).  Each W_k keeps the column-major layout of that block: the norm
+    and products in BlockBaryB sum in memory order, so a C-ordered copy
+    would round differently.
     """
-    nodes = np.array([z for z, _ in support], dtype=complex)
-    Fsup = np.array([F for _, F in support], dtype=complex)
-    _check_nodes(nodes)
+    nodes = _check_nodes(nodes)
+    values = np.asarray(values, dtype=complex)
     _check_disjoint(samples.points, nodes)
     m, n = samples.shape
-    L = _loewner_tensor(samples, nodes, Fsup)  # (d+1, ell, m, n)
+    L = _loewner_tensor(samples, nodes, values)  # (d+1, ell, m, n)
     # stack to m(d+1) x ell*n
     Lmat = L.transpose(0, 2, 1, 3).reshape(nodes.size * m, samples.ell * n)
     W = trailing_left_singular_block(Lmat, m)
-    return [W[:, k * m : (k + 1) * m] for k in range(nodes.size)]
+    return np.stack(np.hsplit(W, nodes.size))
 
 
 def solve_weights_baryC(samples, nodes):

@@ -6,40 +6,30 @@ runs the shared loop of `aaa._greedy_driver` with the bary-B weight solve and
 a guard that keeps going while any sample row remains.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .aaa import AaaOptions, _greedy_driver
 from .barycentric import BlockBaryB, solve_weights_baryB
+from .core import FitResult
 
 __all__ = ["BlockAaaResult", "block_aaa"]
 
-
-@dataclass(frozen=True)
-class BlockAaaResult:
-    model: BlockBaryB
-    errors: list  # greedy max-norm error per iteration
-    skipped: list = field(default_factory=list)  # (iteration, point) pairs with singular denominators
-
-
-def _block_weights(rest, nodes, node_vals):
-    return np.stack(solve_weights_baryB(rest, list(zip(nodes, node_vals))))
+BlockAaaResult = FitResult  # an alias: block-AAA and RKFIT share one result type
 
 
 def block_aaa(samples, opts=AaaOptions()):
     """Fit a BlockBaryB model by greedy support selection.
 
-    Returns the model together with the per-iteration greedy error trace.
-    Points where the current denominator sum is numerically singular are
-    skipped for selection in that iteration and recorded as diagnostics.
+    Returns a FitResult: the model, the greedy error of each iteration, and
+    the (iteration, point) pairs skipped for selection because the current
+    denominator sum is numerically singular there.
     """
     m = samples.shape[0]
-    return BlockAaaResult(*_greedy_driver(
+    return _greedy_driver(
         samples,
         opts,
-        _block_weights,
+        solve_weights_baryB,
         BlockBaryB,
         lambda k: np.tile(np.eye(m) / np.sqrt(k * m), (k, 1, 1)),
         lambda j: 1,
-    ))
+    )

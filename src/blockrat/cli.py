@@ -19,7 +19,7 @@ import numpy as np
 
 from .aaa import AaaOptions, aaa_scalar, random_directions, set_valued_aaa, surrogate_aaa
 from .block_aaa import block_aaa
-from .core import NoiseSpec, ParameterError, SampleSet, add_noise, logspace_imaginary, rmse
+from .core import FitResult, NoiseSpec, ParameterError, SampleSet, add_noise, logspace_imaginary, rmse
 from .loewner import loewner_block
 from .rkfit import RkfitOptions, rkfit_fit
 from .vecfit import VfOptions, vf_matrix
@@ -137,33 +137,32 @@ def save_samples(samples, path):
 
 
 def load_samples(path):
-    """Parse the text format written by `save_samples`; validates invariants."""
+    """Parse and validate the text format written by `save_samples`; errors name the file line."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
+        rows = [(no, ln.split()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    head_no, head = rows[0] if rows else (1, [])
     try:
-        m, n, ell = (int(t) for t in lines[0].split())
-    except (IndexError, ValueError) as e:
-        raise ParameterError(f"{path}:1: bad header (want 'm n ell'): {e}") from e
-    expect = 1 + ell * (1 + m)
-    if len(lines) != expect:
-        raise ParameterError(f"{path}: expected {expect} lines, found {len(lines)}")
-    points = np.empty(ell, dtype=complex)
-    values = np.empty((ell, m, n), dtype=complex)
-    pos = 1
-    for i in range(ell):
+        m, n, ell = (int(t) for t in head)
+        if min(m, n, ell) < 1:
+            raise ValueError(f"sizes must be positive, got {m} {n} {ell}")
+    except ValueError as e:
+        raise ParameterError(f"{path}:{head_no}: bad header (want 'm n ell'): {e}") from e
+    expect = 1 + ell * (1 + m)  # checked before the width table, whose size the header alone sets
+    if len(rows) != expect:
+        raise ParameterError(f"{path}: expected {expect} lines, found {len(rows)}")
+    # floats per line after the header: per point, `re im` then m rows of n pairs
+    widths = ([2] + [2 * n] * m) * ell
+    floats = []
+    for (no, toks), width in zip(rows[1:], widths):
         try:
-            re, im = (float(t) for t in lines[pos].split())
-            points[i] = complex(re, im)
-            pos += 1
-            for a in range(m):
-                toks = [float(t) for t in lines[pos].split()]
-                if len(toks) != 2 * n:
-                    raise ValueError(f"want {2 * n} floats, found {len(toks)}")
-                values[i, a] = [complex(toks[2 * b], toks[2 * b + 1]) for b in range(n)]
-                pos += 1
+            if len(toks) != width:
+                raise ValueError(f"want {width} floats, found {len(toks)}")
+            floats.extend(float(t) for t in toks)
         except ValueError as e:
-            raise ParameterError(f"{path}:{pos + 1}: {e}") from e
+            raise ParameterError(f"{path}:{no}: {e}") from e
+    # each (re, im) pair read as one complex128, sign of zero kept
+    entries = np.array(floats, dtype=float).view(complex).reshape(ell, 1 + m * n)
+    points, values = entries[:, 0].copy(), entries[:, 1:].copy().reshape(ell, m, n)
     seen = {}
     for i, z in enumerate(points):
         if complex(z) in seen:
@@ -175,28 +174,18 @@ def load_samples(path):
 def _aaa_scalar(samples, opts, **_):
     if samples.shape != (1, 1):
         raise ParameterError("aaa-scalar requires 1x1 samples")
-    return aaa_scalar(samples.points, samples.values[:, 0, 0], opts), []
+    return aaa_scalar(samples.points, samples.values[:, 0, 0], opts)
 
 
-def _block_aaa(samples, opts, **_):
-    result = block_aaa(samples, opts)
-    return result.model, result.errors
-
-
-def _rkfit(samples, order, iters, **_):
-    result = rkfit_fit(samples, RkfitOptions(degree=order, iterations=iters))
-    return result.model, result.rmse_trace
-
-
-# method name -> fit(samples, order=, opts=AaaOptions, iters=, seed=) -> (evaluator, trace)
+# method name -> fit(samples, order=, opts=AaaOptions, iters=, seed=) -> evaluator or FitResult
 _FITTERS = {
     "aaa-scalar": _aaa_scalar,
-    "set-valued-aaa": lambda s, opts, **_: (set_valued_aaa(s, opts), []),
-    "surrogate-aaa": lambda s, opts, seed, **_: (surrogate_aaa(s, *random_directions(*s.shape, seed), opts), []),
-    "block-aaa": _block_aaa,
-    "vf": lambda s, order, iters, **_: (vf_matrix(s, order, VfOptions(iterations=iters)), []),
-    "rkfit": _rkfit,
-    "loewner": lambda s, order, **_: (loewner_block(s, order), []),
+    "set-valued-aaa": lambda s, opts, **_: set_valued_aaa(s, opts),
+    "surrogate-aaa": lambda s, opts, seed, **_: surrogate_aaa(s, *random_directions(*s.shape, seed), opts),
+    "block-aaa": lambda s, opts, **_: block_aaa(s, opts),
+    "vf": lambda s, order, iters, **_: vf_matrix(s, order, VfOptions(iterations=iters)),
+    "rkfit": lambda s, order, iters, **_: rkfit_fit(s, RkfitOptions(degree=order, iterations=iters)),
+    "loewner": lambda s, order, **_: loewner_block(s, order),
 }
 METHODS = tuple(_FITTERS)
 
@@ -206,7 +195,10 @@ def _fit_method(method, samples, order, tol, iters, seed):
     opts = AaaOptions(tol=tol, max_order=order)
     if method not in _FITTERS:
         raise ParameterError(f"unknown method {method!r} (choose from {METHODS})")
-    return _FITTERS[method](samples, order=order, opts=opts, iters=iters, seed=seed)
+    fit = _FITTERS[method](samples, order=order, opts=opts, iters=iters, seed=seed)
+    if isinstance(fit, FitResult):
+        return fit.model, fit.errors
+    return fit, []
 
 
 def run_sweep(problem, methods, orders, tol=1e-13, iters=5, seed=0, repeats=20,

@@ -15,7 +15,7 @@ derives from :class:`Evaluator` and follows its contract:
 `rmse` also accepts any other callable that maps a scalar z to a matrix.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "NumericalError",
     "SampleSet",
     "Evaluator",
+    "FitResult",
     "NoiseSpec",
     "logspace_imaginary",
     "rmse",
@@ -134,6 +135,15 @@ class Evaluator:
 
     def _error_at(self, z):
         return EvaluationError(self._undefined.format(z=z))
+
+
+@dataclass(frozen=True)
+class FitResult:
+    """A fitted model and what its iterations saw; block-AAA and RKFIT return one."""
+
+    model: Evaluator
+    errors: list  # one per iteration: the greedy error (block-AAA), the refitted model's RMSE (RKFIT)
+    skipped: list = field(default_factory=list)  # (iteration, point) pairs the greedy sweep could not evaluate
 
 
 def frobenius_norms(R):

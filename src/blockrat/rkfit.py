@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError, ParameterError
+from .barycentric import _support_tol
+from .core import FitResult, NumericalError, ParameterError
 from .kernels import lstsq, trailing_right_singular_vector
 from .linearize import bary_poly_weights, build_pencil, pencil_eigs
-from .vecfit import PoleResidue, _cauchy, _dedupe, _denominator_zeros, _fit_residues, _start_poles
+from .vecfit import _cauchy, _dedupe, _denominator_zeros, _fit_residues, _start_poles
 
 __all__ = ["RkfitOptions", "RationalBasis", "RkfitResult", "build_basis", "relocate_poles", "rkfit_fit"]
 
@@ -142,15 +143,14 @@ def relocate_poles(basis, sample_functions):
     return _dedupe(roots)
 
 
-@dataclass(frozen=True)
-class RkfitResult:
-    model: PoleResidue
-    rmse_trace: list  # RMSE of the refitted model after each iteration
-    poles_trace: list
+RkfitResult = FitResult  # an alias: block-AAA and RKFIT share one result type
 
 
 def rkfit_fit(samples, opts):
-    """Iterated RKFIT over all matrix entries with a common denominator."""
+    """Iterated RKFIT over all matrix entries with a common denominator.
+
+    Raises NumericalError when a relocated pole lands on a sample point.
+    """
     d = opts.degree
     if samples.ell < 2 * d + 2 and d > 0:
         raise ParameterError(f"need at least {2 * d + 2} samples for degree {d}")
@@ -161,12 +161,12 @@ def rkfit_fit(samples, opts):
     from .core import rmse  # looked up at call time, so a rebound core.rmse is seen
 
     trace = []
-    poles_trace = []
-    model = None
-    for _ in range(opts.iterations):
+    for _ in range(opts.iterations):  # at least one, so `model` is always bound
         basis = build_basis(samples.points, poles, degree=d)
         poles = relocate_poles(basis, fs)
+        # the window in which PoleResidue reports a point as a pole
+        if poles.size and np.abs(samples.points[:, None] - poles).min() <= _support_tol(poles):
+            raise NumericalError("a relocated pole lies on a sample point")
         model = _fit_residues(samples.points, samples.values, poles)
         trace.append(rmse(samples, model))
-        poles_trace.append(poles.copy())
-    return RkfitResult(model, trace, poles_trace)
+    return FitResult(model, trace)

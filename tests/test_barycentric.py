@@ -147,7 +147,7 @@ class TestSolveWeightsBaryB:
     def test_constant_function_zero_loewner(self):
         s = constant_samples(np.array([[1.0, 2.0], [3.0, 4.0]]))
         support = [(0.5j, s.values[0])]
-        W = solve_weights_baryB(s.subset(range(1, s.ell)), support)
+        W = solve_weights_baryB(s.subset(range(1, s.ell)), *zip(*support))
         # Loewner matrix is exactly zero, any unit stack is optimal
         assert np.sqrt(sum(np.linalg.norm(w) ** 2 for w in W)) == pytest.approx(1.0, abs=1e-12)
 
@@ -157,7 +157,7 @@ class TestSolveWeightsBaryB:
         s = SampleSet(pts, vals)
         support = [(pts[0], s.values[0]), (pts[4], s.values[4])]
         rem = s.subset([1, 2, 3, 5, 6, 7])
-        W = solve_weights_baryB(rem, support)
+        W = solve_weights_baryB(rem, *zip(*support))
         w = np.array([Wk[0, 0] for Wk in W])
         # independent scalar solve: trailing right singular vector of the
         # transposed Loewner matrix
@@ -172,7 +172,7 @@ class TestSolveWeightsBaryB:
     def test_support_collision_rejected(self):
         s = constant_samples(np.eye(2), ell=4)
         with pytest.raises(ParameterError):
-            solve_weights_baryB(s, [(s.points[0], s.values[0])])
+            solve_weights_baryB(s, s.points[:1], s.values[:1])
 
     def test_toy_linearized_residual(self, toy1):
         # greedy order-5 support from block-AAA; re-solve and check the
@@ -183,7 +183,7 @@ class TestSolveWeightsBaryB:
         rem_idx = [i for i, z in enumerate(toy1.samples.points) if complex(z) not in sel]
         rem = toy1.samples.subset(rem_idx)
         support = list(zip(model.nodes, model.values))
-        W = solve_weights_baryB(rem, support)
+        W = solve_weights_baryB(rem, *zip(*support))
         Wrow = np.hstack(W)
         # linearized residual ||[W0..Wd] L|| over the block Loewner matrix
         Lmat = np.vstack([
@@ -191,6 +191,18 @@ class TestSolveWeightsBaryB:
             for (zk, Fk) in support
         ])
         assert np.linalg.norm(Wrow @ Lmat) <= 1e-10
+
+    def test_stack_is_the_trailing_block_cut_into_weights(self, toy2, monkeypatch):
+        s, nodes, values = toy2.samples.subset(range(3, 40)), toy2.samples.points[:3], toy2.samples.values[:3]
+        seen = []
+        solve = bary.trailing_left_singular_block
+        monkeypatch.setattr(bary, "trailing_left_singular_block", lambda M, m: seen.append(solve(M, m)) or seen[-1])
+        W = solve_weights_baryB(s, nodes, values)
+        assert W.shape == (3, 2, 2)
+        # one block after another, each stored column by column as the kernel
+        # returns it; BlockBaryB's bits depend on this layout
+        assert W.transpose(0, 2, 1).flags.c_contiguous
+        assert W.tobytes() == b"".join(seen[0][:, 2 * k : 2 * k + 2].tobytes() for k in range(3))
 
 
 class TestSolveWeightsBaryC:

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from blockrat import AaaOptions, ParameterError, SampleSet, block_aaa, logspace_imaginary, rmse
+from blockrat import (
+    AaaOptions,
+    BlockAaaResult,
+    BlockBaryA,
+    FitResult,
+    ParameterError,
+    RkfitResult,
+    SampleSet,
+    block_aaa,
+    logspace_imaginary,
+    rmse,
+)
+from blockrat.aaa import _greedy_driver, _stacked_loewner_weights
 from blockrat.linearize import build_pencil, pencil_eigs
 from tests.conftest import random_samples
 
@@ -79,3 +91,21 @@ class TestBlockAaa:
         assert {it for it, _ in res.skipped} == {2}
         assert sorted(z.imag for _, z in res.skipped) == sorted(
             z.imag for z in pts if z not in set(res.model.nodes))
+
+
+class TestFitResult:
+    def test_one_result_type(self):
+        assert BlockAaaResult is RkfitResult is FitResult
+
+    def test_block_aaa_returns_fit_result(self, toy1):
+        res = block_aaa(toy1.samples, AaaOptions(max_order=3))
+        assert type(res) is FitResult
+        assert len(res.errors) == 4
+        assert res.skipped == []
+
+    def test_greedy_driver_returns_fit_result(self, toy1):
+        res = _greedy_driver(toy1.samples, AaaOptions(max_order=3), _stacked_loewner_weights,
+                             BlockBaryA, np.ones, lambda j: j + 1)
+        assert type(res) is FitResult
+        assert res.model.order == 3
+        assert len(res.errors) == 4

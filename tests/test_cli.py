@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from blockrat import ParameterError, rmse
+from blockrat import ParameterError, SampleSet, rmse
 from blockrat.cli import (
     load_samples,
     main,
@@ -108,6 +108,46 @@ class TestSampleFiles:
         path.write_text("not a header\n")
         with pytest.raises(ParameterError, match=":1"):
             load_samples(path)
+
+    def test_errors_name_the_file_line_past_blank_lines(self, tmp_path):
+        # 1x1, two points; the bad token is on line 7 of the file, the fifth
+        # non-blank line
+        path = tmp_path / "bad.txt"
+        path.write_text("1 1 2\n\n0 1\n1 0\n\n0 2\nx 0\n")
+        with pytest.raises(ParameterError, match=r"bad\.txt:7: could not convert"):
+            load_samples(path)
+
+    def test_rows_of_the_wrong_width_rejected(self, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text("1 2 1\n0 1\n1 0 2 0 3\n")
+        with pytest.raises(ParameterError, match=r"wide\.txt:3: want 4 floats, found 5"):
+            load_samples(path)
+        path.write_text("1 1 1\n0 1 5\n1 0\n")
+        with pytest.raises(ParameterError, match=r"wide\.txt:2: want 2 floats, found 3"):
+            load_samples(path)
+
+    def test_nonpositive_sizes_rejected(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("\n1 0 1\n0 1\n")
+        with pytest.raises(ParameterError, match=r"empty\.txt:2: bad header"):
+            load_samples(path)
+
+    def test_line_count_checked_before_reading_rows(self, tmp_path):
+        # a header claiming 10^12 points is rejected by the line count alone
+        path = tmp_path / "huge.txt"
+        path.write_text("1 1 1000000000000\n0 1\n1 0\n")
+        with pytest.raises(ParameterError, match="expected 2000000000001 lines, found 3"):
+            load_samples(path)
+
+    def test_signed_zeros_round_trip(self, tmp_path):
+        z = complex(-0.0, -0.0)
+        s = SampleSet([complex(-0.0, 1.0), complex(1.0, -0.0)], np.array([[[z, complex(1.0, -0.0)]], [[0j, z]]]))
+        path = tmp_path / "zeros.txt"
+        save_samples(s, path)
+        loaded = load_samples(path)
+        assert loaded.points.tobytes() == s.points.tobytes()
+        assert loaded.values.tobytes() == s.values.tobytes()
+        assert loaded.values.flags.c_contiguous
 
 
 class TestRunSweep:

@@ -1,7 +1,10 @@
+import ctypes
+
 import numpy as np
 import pytest
 
 from blockrat import (
+    FitResult,
     NoiseSpec,
     NumericalError,
     ParameterError,
@@ -96,7 +99,7 @@ class TestRkfitFit:
     def test_toy1_degree6(self, toy1):
         res = rkfit_fit(toy1.samples, RkfitOptions(degree=6, iterations=5))
         assert rmse(toy1.samples, res.model) <= 1e-8
-        assert len(res.rmse_trace) == 5
+        assert len(res.errors) == 5
 
     def test_noisy_stagnation_near_noise_level(self):
         tau = 1e-2
@@ -132,3 +135,20 @@ class TestRkfitFit:
             RkfitOptions(degree=-1)
         with pytest.raises(ParameterError):
             RkfitOptions(degree=2, iterations=0)
+
+
+class TestPoleOnSamplePoint:
+    def test_rkfit_returns_fit_result(self, toy1):
+        res = rkfit_fit(toy1.samples, RkfitOptions(degree=2, iterations=2))
+        assert type(res) is FitResult
+        assert len(res.errors) == 2
+        assert res.skipped == []
+
+    def test_relocated_pole_on_sample_point_raises_at_fit_time(self, toy2, capfd):
+        # on toy2 at degree 15 a relocated pole lands on the sample point 100i;
+        # fitting residues there would hand infinite entries to LAPACK, which
+        # prints its argument-check messages (xerbla) into stdout
+        with pytest.raises(NumericalError, match="sample point"):
+            rkfit_fit(toy2.samples, RkfitOptions(degree=15, iterations=5))
+        ctypes.CDLL(None).fflush(None)  # flush C stdio, where LAPACK writes
+        assert "LASCL" not in capfd.readouterr().out
