@@ -4,9 +4,13 @@ surrogate AAA.
 Every AAA-family fitter, block-AAA included, runs `_greedy_driver`: pick the
 sample point with the largest Frobenius-norm error, promote it to a support
 point, and re-solve a linearized least squares problem for the barycentric
-weights.  A family supplies only its weight solve, its barycentric form with
-the order-0 fallback weights and its underdetermination guard.  Set-valued
-AAA is the one scalar-weight family: scalar AAA is set-valued AAA on 1x1
+weights.  The driver owns the Loewner tensor
+(F(lambda_i) - F_k)/(lambda_i - z_k) of the remaining points: each
+iteration drops the picked point's row and appends the new support point's
+column, so it divides O(ell*m*n) entries, not O(d*ell*m*n).  A family
+supplies only its weight solve on that tensor, its barycentric form with the
+order-0 fallback weights and its underdetermination guard.  Set-valued AAA
+is the one scalar-weight family: scalar AAA is set-valued AAA on 1x1
 samples, and surrogate AAA is scalar AAA on a^T F(z) b.
 """
 
@@ -49,7 +53,8 @@ class AaaOptions:
 def _greedy_driver(samples, opts, solve_weights, make_model, fallback_weights, rows_needed):
     """Shared AAA loop over a SampleSet; returns a FitResult.
 
-    solve_weights(rest, nodes, node_vals) -> weights, from the remaining samples
+    solve_weights(rest, nodes, node_vals, loewner) -> weights, from the
+        remaining samples and their Loewner tensor
     make_model(nodes, weights, node_vals) -> evaluator of (N, m, n) stacks
     fallback_weights(k) -> weights of an order-0 model on k support points
     rows_needed(j) -> remaining points the order-j weight solve needs
@@ -58,12 +63,18 @@ def _greedy_driver(samples, opts, solve_weights, make_model, fallback_weights, r
     iteration evaluates the current model once, on all remaining points.
     Points where it cannot be evaluated (NaN blocks) are skipped for
     selection in that iteration and recorded as (iteration, point) pairs.
+
+    `loewner` is the C-contiguous (j+1, ell', m, n) `_loewner_tensor` of the
+    remaining points and the support points, kept between iterations: a pick
+    drops its row (slice copies) and appends its column, one division per
+    (remaining point, entry), so the entries keep the bits of a full rebuild.
     """
     points, values = samples.points, samples.values
     threshold = opts.tol * frobenius_norms(values).max()
 
     remaining = np.ones(samples.ell, dtype=bool)
     mean = values.mean(axis=0)
+    loewner = np.empty((0,) + values.shape, dtype=complex)  # rows follow `remaining`
     model = None
     sel: list[int] = []
     trace: list[float] = []
@@ -94,18 +105,21 @@ def _greedy_driver(samples, opts, solve_weights, make_model, fallback_weights, r
             if model is None:
                 model = make_model(points[sel], fallback_weights(len(sel)), values[sel])
             break
-        w = solve_weights(samples.subset(rem), points[sel], values[sel])
+        rest = samples.subset(rem)
+        column = _loewner_tensor(rest, points[[pick]], values[[pick]])
+        loewner = np.concatenate([np.delete(loewner, t, axis=1), column])
+        w = solve_weights(rest, points[sel], values[sel], loewner)
         model = make_model(points[sel], w, values[sel])
         if j >= opts.max_order:
             break
     return FitResult(model, trace, skipped)
 
 
-def _stacked_loewner_weights(rest, nodes, node_vals):
+def _stacked_loewner_weights(rest, nodes, node_vals, loewner):
     """Common weights: trailing right singular vector of the stacked
     entrywise Loewner matrices (one per matrix entry, over remaining points)."""
-    L = _loewner_tensor(rest, nodes, node_vals)  # (j+1, ell', m, n)
-    return trailing_right_singular_vector(L.transpose(2, 3, 1, 0).reshape(-1, nodes.size))
+    # loewner: (j+1, ell', m, n)
+    return trailing_right_singular_vector(loewner.transpose(2, 3, 1, 0).reshape(-1, nodes.size))
 
 
 def aaa_scalar(points, values, opts=AaaOptions()):

@@ -268,7 +268,7 @@ def _loewner_tensor(samples, nodes, node_vals):
     )
 
 
-def solve_weights_baryB(samples, nodes, values):
+def solve_weights_baryB(samples, nodes, values, loewner=None):
     """Least-squares weight matrices for the bary-B form.
 
     `nodes` are the support points z_k and `values` the (d+1, m, n) stack of
@@ -277,13 +277,15 @@ def solve_weights_baryB(samples, nodes, values):
     stack from its trailing left singular block (unit Frobenius norm over the
     stack).  Each W_k keeps the column-major layout of that block: the norm
     and products in BlockBaryB sum in memory order, so a C-ordered copy
-    would round differently.
+    would round differently.  `loewner`, if given, is that tensor as
+    `_loewner_tensor(samples, nodes, values)` returns it; the greedy loop
+    passes the one it keeps.
     """
     nodes = _check_nodes(nodes)
     values = np.asarray(values, dtype=complex)
     _check_disjoint(samples.points, nodes)
     m, n = samples.shape
-    L = _loewner_tensor(samples, nodes, values)  # (d+1, ell, m, n)
+    L = _loewner_tensor(samples, nodes, values) if loewner is None else loewner  # (d+1, ell, m, n)
     # stack to m(d+1) x ell*n
     Lmat = L.transpose(0, 2, 1, 3).reshape(nodes.size * m, samples.ell * n)
     W = trailing_left_singular_block(Lmat, m)

@@ -122,7 +122,11 @@ def relocate_poles(basis, sample_functions):
     poles (roots that escape to infinity drop out of the list).
     """
     V = basis.V
-    proj = np.eye(V.shape[0]) - V @ V.conj().T
+    # I - V V^H in place, without an ell x ell identity; 0 - x rather than -x
+    # keeps the +0 entries of eye - V V^H
+    proj = V @ V.conj().T
+    np.subtract(0, proj, out=proj)
+    proj.flat[:: V.shape[0] + 1] += 1
     blocks = [proj @ (np.asarray(f, dtype=complex)[:, None] * V) for f in sample_functions]
     c = trailing_right_singular_vector(np.vstack(blocks))
     vhat = V @ c
