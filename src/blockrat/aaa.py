@@ -124,11 +124,7 @@ def _stacked_loewner_weights(rest, nodes, node_vals, loewner):
 
 def aaa_scalar(points, values, opts=AaaOptions()):
     """Classic greedy AAA: set-valued AAA on 1x1 samples, as a ScalarBarycentric."""
-    points = np.asarray(points, dtype=complex).ravel()
-    values = np.asarray(values, dtype=complex).ravel()
-    if points.size != values.size:
-        raise ParameterError("points and values must have equal length")
-    r = set_valued_aaa(SampleSet(points, values), opts)
+    r = set_valued_aaa(SampleSet(points, np.ravel(values)), opts)
     return ScalarBarycentric(r.nodes, r.weights, r.values[:, 0, 0])
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Evaluator, ParameterError
+from .core import Evaluator, ParameterError, _distinct
 from .kernels import solve_checked, trailing_left_singular_block
 
 __all__ = [
@@ -35,16 +35,9 @@ def _support_tol(nodes):
     return 10 * np.finfo(float).eps * max(np.max(np.abs(nodes)), 1.0)
 
 
-def _check_nodes(nodes):
-    nodes = np.asarray(nodes, dtype=complex).ravel()
-    if len(np.unique(nodes)) != nodes.size:
-        raise ParameterError("support points must be pairwise distinct")
-    return nodes
-
-
 def _nearest(nodes, zs):
-    """(on, off, k): which points lie on a support point, which lie off every
-    support point, and the nearest node of each.
+    """(on, off, k): which points lie on a node, which lie off every node, and
+    the nearest node of each; the one window for support points and poles.
 
     A NaN point is neither on nor off: its block stays NaN, and it is left
     out of the divisions by z - z_k, which would only warn.
@@ -77,7 +70,7 @@ def _scalar_weight_quotient(model, zs, numer):
     denominator sum vanishes.
     """
     on, off, k = _nearest(model.nodes, zs)
-    R = np.full(zs.shape + model.values.shape[1:], np.nan, dtype=complex)
+    R = np.full(zs.shape + model.shape, np.nan, dtype=complex)
     R[on] = model.values[k[on]]
     off = np.flatnonzero(off)
     c = model.weights / (zs[off, None] - model.nodes)
@@ -100,8 +93,20 @@ def _matrix_weight_quotient(model, zs, at_nodes, D, N):
     return R
 
 
+class _Barycentric(Evaluator):
+    """The barycentric forms: order from the support points, shape from the values (() if scalar)."""
+
+    @property
+    def order(self):
+        return self.nodes.size - 1
+
+    @property
+    def shape(self):
+        return self.values.shape[1:]
+
+
 @dataclass(frozen=True)
-class ScalarBarycentric(Evaluator):
+class ScalarBarycentric(_Barycentric):
     """r(z) = sum_k w_k f_k / (z - z_k)  /  sum_k w_k / (z - z_k)."""
 
     _undefined = "barycentric denominator vanishes at z = {z}"
@@ -111,7 +116,7 @@ class ScalarBarycentric(Evaluator):
     values: np.ndarray
 
     def __post_init__(self):
-        nodes = _check_nodes(self.nodes)
+        nodes = _distinct(self.nodes, "support points")
         w = np.asarray(self.weights, dtype=complex).ravel()
         f = np.asarray(self.values, dtype=complex).ravel()
         if not (nodes.size == w.size == f.size):
@@ -122,10 +127,6 @@ class ScalarBarycentric(Evaluator):
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "values", f)
 
-    @property
-    def order(self):
-        return self.nodes.size - 1
-
     def __call__(self, z):
         zs = self._points(z)
         # values[None] keeps both factors 2-D: numpy rounds a complex product
@@ -135,7 +136,7 @@ class ScalarBarycentric(Evaluator):
 
 
 @dataclass(frozen=True)
-class BlockBaryA(Evaluator):
+class BlockBaryA(_Barycentric):
     """Scalar-weight barycentric form with matrix values F_k."""
 
     _undefined = "barycentric denominator vanishes at z = {z}"
@@ -145,7 +146,7 @@ class BlockBaryA(Evaluator):
     values: np.ndarray  # (d+1, m, n)
 
     def __post_init__(self):
-        nodes = _check_nodes(self.nodes)
+        nodes = _distinct(self.nodes, "support points")
         w = np.asarray(self.weights, dtype=complex).ravel()
         F = np.asarray(self.values, dtype=complex)
         if F.ndim != 3 or F.shape[0] != nodes.size or w.size != nodes.size:
@@ -156,21 +157,13 @@ class BlockBaryA(Evaluator):
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "values", F)
 
-    @property
-    def order(self):
-        return self.nodes.size - 1
-
-    @property
-    def shape(self):
-        return self.values.shape[1], self.values.shape[2]
-
     def __call__(self, z):
         zs = self._points(z)
         return self._result(z, _scalar_weight_quotient(self, zs, lambda c: _sums(c, self.values)))
 
 
 @dataclass(frozen=True)
-class BlockBaryB(Evaluator):
+class BlockBaryB(_Barycentric):
     """Matrix-weight barycentric form; the output of block-AAA.
 
     R(z) = (sum_k W_k/(z-z_k))^-1 (sum_k W_k F_k/(z-z_k)), with the weight
@@ -185,13 +178,16 @@ class BlockBaryB(Evaluator):
     _undefined = "numerically singular matrix at z = {z}"
 
     def __post_init__(self):
-        nodes = _check_nodes(self.nodes)
+        nodes = _distinct(self.nodes, "support points")
         W = np.asarray(self.weights, dtype=complex)
         F = np.asarray(self.values, dtype=complex)
         if W.ndim != 3 or W.shape[1] != W.shape[2] or W.shape[0] != nodes.size:
             raise ParameterError("need one square weight matrix per node")
         if F.ndim != 3 or F.shape[0] != nodes.size or F.shape[1] != W.shape[1]:
             raise ParameterError("value matrices inconsistent with weights")
+        # norm and einsum sum in memory order: read every stack as column-major
+        # blocks, the layout solve_weights_baryB returns (for it, a view)
+        W = np.ascontiguousarray(W.transpose(0, 2, 1)).transpose(0, 2, 1)
         total = np.linalg.norm(W)
         if total == 0:
             raise ParameterError("weight stack must be nonzero")
@@ -200,21 +196,13 @@ class BlockBaryB(Evaluator):
         object.__setattr__(self, "values", F)
         object.__setattr__(self, "weighted", np.einsum("kij,kjl->kil", self.weights, F))
 
-    @property
-    def order(self):
-        return self.nodes.size - 1
-
-    @property
-    def shape(self):
-        return self.values.shape[1], self.values.shape[2]
-
     def __call__(self, z):
         zs = self._points(z)
         return self._result(z, _matrix_weight_quotient(self, zs, lambda k: self.values[k], self.weights, self.weighted))
 
 
 @dataclass(frozen=True)
-class BlockBaryC(Evaluator):
+class BlockBaryC(_Barycentric):
     """Fully general barycentric quotient with numerator and denominator blocks.
 
     R(z) = (sum_k D_k/(z-z_k))^-1 (sum_k C_k/(z-z_k)); non-interpolatory in
@@ -228,7 +216,7 @@ class BlockBaryC(Evaluator):
     _undefined = "numerically singular matrix at z = {z}"
 
     def __post_init__(self):
-        nodes = _check_nodes(self.nodes)
+        nodes = _distinct(self.nodes, "support points")
         C = np.asarray(self.numer, dtype=complex)
         D = np.asarray(self.denom, dtype=complex)
         if D.ndim != 3 or D.shape[1] != D.shape[2] or D.shape[0] != nodes.size:
@@ -241,10 +229,6 @@ class BlockBaryC(Evaluator):
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "numer", C / total)
         object.__setattr__(self, "denom", D / total)
-
-    @property
-    def order(self):
-        return self.nodes.size - 1
 
     @property
     def shape(self):
@@ -275,13 +259,13 @@ def solve_weights_baryB(samples, nodes, values, loewner=None):
     F_k.  Assembles the block Loewner matrix with (k, i) block
     (F(lambda_i) - F_k)/(lambda_i - z_k) and returns the (d+1, m, m) weight
     stack from its trailing left singular block (unit Frobenius norm over the
-    stack).  Each W_k keeps the column-major layout of that block: the norm
-    and products in BlockBaryB sum in memory order, so a C-ordered copy
-    would round differently.  `loewner`, if given, is that tensor as
+    stack).  Each W_k keeps the column-major layout of that block, the
+    layout in which BlockBaryB reads any weight stack, so it takes this one
+    without a copy.  `loewner`, if given, is that tensor as
     `_loewner_tensor(samples, nodes, values)` returns it; the greedy loop
     passes the one it keeps.
     """
-    nodes = _check_nodes(nodes)
+    nodes = _distinct(nodes, "support points")
     values = np.asarray(values, dtype=complex)
     _check_disjoint(samples.points, nodes)
     m, n = samples.shape
@@ -301,7 +285,7 @@ def solve_weights_baryC(samples, nodes):
     m, n = samples.shape
     if m != n:
         raise ParameterError("bary-C solve requires square samples (m == n)")
-    nodes = _check_nodes(nodes)
+    nodes = _distinct(nodes, "support points")
     _check_disjoint(samples.points, nodes)
     d1 = nodes.size
     ell = samples.ell

@@ -66,13 +66,9 @@ def _toy1_value(z):
 
 
 def _toy2_value(z):
-    return np.array(
-        [
-            [2 / (z + 1), (3 - z) / (z**2 + z + 5)],
-            [(3 - z) / (z**2 + z - 5), (2 + z**2) / (z**3 + 3 * z**2 - 1)],
-        ],
-        dtype=complex,
-    )
+    F = _toy1_value(z)
+    F[0, 1] = (3 - z) / (z**2 + z + 5)
+    return F
 
 
 def _buckling_value(z):

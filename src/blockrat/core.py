@@ -38,8 +38,8 @@ class ParameterError(ValueError):
     """Invalid argument to an operation (bad sizes, duplicates, bad ranges)."""
 
 
-class ContractError(ValueError):
-    """Inconsistent objects passed together (e.g. dimension mismatch)."""
+class ContractError(ParameterError):
+    """Inconsistent objects passed together (e.g. dimension mismatch); a ParameterError."""
 
 
 class EvaluationError(ArithmeticError):
@@ -53,6 +53,14 @@ class NumericalError(RuntimeError):
 def _freeze(a):
     a.setflags(write=False)
     return a
+
+
+def _distinct(x, what):
+    """x as a 1-D complex array; ParameterError unless its entries are pairwise distinct."""
+    x = np.asarray(x, dtype=complex).ravel()
+    if len(np.unique(x)) != x.size:
+        raise ParameterError(f"{what} must be pairwise distinct")
+    return x
 
 
 @dataclass(frozen=True)
@@ -80,8 +88,7 @@ class SampleSet:
             )
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
             raise ParameterError("sample points and values must be finite")
-        if len(np.unique(pts)) != pts.size:
-            raise ParameterError("sample points must be pairwise distinct")
+        _distinct(pts, "sample points")
         object.__setattr__(self, "points", _freeze(pts))
         object.__setattr__(self, "values", _freeze(vals))
 

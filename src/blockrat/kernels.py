@@ -168,14 +168,10 @@ def gen_eig(A, B):
     return list(zip(alpha, beta))
 
 
-def _beta_floor(A, B):
-    scale = max(np.linalg.norm(np.atleast_2d(A)), np.linalg.norm(np.atleast_2d(B)))
-    return EPS_FINITE * max(scale, 1.0)
-
-
 def finite_eigenvalues(A, B):
     """Finite generalized eigenvalues alpha/beta of the pair (A, B)."""
-    floor = _beta_floor(A, B)
+    scale = max(np.linalg.norm(np.atleast_2d(A)), np.linalg.norm(np.atleast_2d(B)))
+    floor = EPS_FINITE * max(scale, 1.0)
     return np.array(
         [a / b for a, b in gen_eig(A, B) if abs(b) > floor], dtype=complex
     )

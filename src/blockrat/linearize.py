@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError
+from .core import ParameterError, _distinct
 from .kernels import finite_eigenvalues
 
 __all__ = ["Pencil", "bary_poly_weights", "build_pencil", "pencil_eigs", "nonlinear_eigs_baryC"]
@@ -31,9 +31,7 @@ class Pencil:
 
 def bary_poly_weights(nodes):
     """w_k = 1 / prod_{j != k} (z_j - z_k); the interpolating-polynomial weights."""
-    nodes = np.asarray(nodes, dtype=complex).ravel()
-    if len(np.unique(nodes)) != nodes.size:
-        raise ParameterError("nodes must be pairwise distinct")
+    nodes = _distinct(nodes, "nodes")
     w = np.empty(nodes.size, dtype=complex)
     for k in range(nodes.size):
         w[k] = 1.0 / np.prod(np.delete(nodes, k) - nodes[k])
@@ -56,8 +54,7 @@ def build_pencil(C, nodes):
     d = nodes.size - 1
     if d < 1:
         raise ParameterError("a constant numerator needs no pencil (d >= 1 required)")
-    if len(np.unique(nodes)) != nodes.size:
-        raise ParameterError("nodes must be pairwise distinct")
+    _distinct(nodes, "nodes")
     s = C.shape[1]
     eye = np.eye(s)
     # blocks indexed (block row, row, block column, column)

@@ -13,7 +13,7 @@ import numpy as np
 from .core import Evaluator, ParameterError, SampleSet
 from .kernels import finite_eigenvalues, solve_checked, svd_full
 
-EPS_RANK = 1e-12  # relative singular-value floor for the rank warning
+EPS_RANK = 1e-12  # relative singular-value floor for the rank warning and the order cap
 
 __all__ = ["LoewnerModel", "partition", "loewner_scalar", "loewner_block", "model_poles"]
 
@@ -53,8 +53,6 @@ def partition(points, values):
     """
     points = np.asarray(points, dtype=complex).ravel()
     values = np.asarray(values, dtype=complex)
-    if values.ndim == 1:
-        values = values.reshape(-1, 1, 1)
     if points.size < 2:
         raise ParameterError("partition needs at least two points")
     order = np.argsort(np.abs(points), kind="stable")
@@ -74,6 +72,11 @@ def _project(L, Ls, V, W, d):
     numrank = int(np.sum(svd.s > EPS_RANK * svd.s[0]))
     if d > numrank:
         warnings.warn(f"order {d} exceeds the numerical Loewner rank {numrank}")
+        # cap d at the pencil's ranks, rank([L Ls]) and rank([L; Ls]); a zero
+        # pencil (zero data) keeps order 1
+        for M in (np.hstack([L, Ls]), np.vstack([L, Ls])):
+            s = svd_full(M).s
+            d = min(d, max(int(np.sum(s > EPS_RANK * s[0])), 1))
     X = svd.u[:, :d]
     Z = svd.v[:, :d]
     return LoewnerModel(
@@ -93,7 +96,8 @@ def loewner_block(samples, d):
     """Tangential block Loewner fit of target order d.
 
     The left and right direction vectors cycle through the standard basis
-    vectors, one per partition point.
+    vectors, one per partition point.  An order above the numerical rank of
+    the Loewner pencil is lowered to that rank, with a warning.
     """
     m, n = samples.shape
     left, right = partition(samples.points, samples.values)

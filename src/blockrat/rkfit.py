@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycentric import _support_tol
-from .core import FitResult, NumericalError, ParameterError
+from .barycentric import _nearest
+from .core import FitResult, NumericalError, ParameterError, _distinct
 from .kernels import lstsq, trailing_right_singular_vector
 from .linearize import bary_poly_weights, build_pencil, pencil_eigs
 from .vecfit import _cauchy, _dedupe, _denominator_zeros, _fit_residues, _start_poles
@@ -53,10 +53,8 @@ class RationalBasis:
 
 
 def build_basis(points, poles, degree=None):
-    points = np.asarray(points, dtype=complex).ravel()
+    points = _distinct(points, "sample points")
     poles = np.asarray(poles, dtype=complex).ravel()
-    if len(np.unique(points)) != points.size:
-        raise ParameterError("sample points must be pairwise distinct")
     if poles.size and np.min(np.abs(points[:, None] - poles[None, :])) == 0:
         raise ParameterError("a pole collides with a sample point")
     d = poles.size if degree is None else degree
@@ -169,7 +167,7 @@ def rkfit_fit(samples, opts):
         basis = build_basis(samples.points, poles, degree=d)
         poles = relocate_poles(basis, fs)
         # the window in which PoleResidue reports a point as a pole
-        if poles.size and np.abs(samples.points[:, None] - poles).min() <= _support_tol(poles):
+        if poles.size and _nearest(poles, samples.points)[0].any():
             raise NumericalError("a relocated pole lies on a sample point")
         model = _fit_residues(samples.points, samples.values, poles)
         trace.append(rmse(samples, model))

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycentric import _sums, _support_tol
-from .core import Evaluator, ParameterError, SampleSet
+from .barycentric import _nearest, _sums
+from .core import Evaluator, ParameterError, SampleSet, _distinct
 from .kernels import lstsq
 
 __all__ = ["PoleResidue", "VfOptions", "vf_scalar", "vf_matrix", "initial_poles"]
@@ -36,8 +36,7 @@ class PoleResidue(Evaluator):
             C = np.zeros((0,) + D.shape, dtype=complex)
         if C.ndim != 3 or C.shape[0] != xi.size or C.shape[1:] != D.shape:
             raise ParameterError("residue stack inconsistent with poles/constant")
-        if xi.size and len(np.unique(xi)) != xi.size:
-            raise ParameterError("poles must be pairwise distinct")
+        _distinct(xi, "poles")
         object.__setattr__(self, "const", D)
         object.__setattr__(self, "poles", xi)
         object.__setattr__(self, "residues", C)
@@ -50,10 +49,9 @@ class PoleResidue(Evaluator):
         zs = self._points(z)
         R = np.broadcast_to(self.const, zs.shape + self.shape).copy()
         if self.poles.size:
-            at_pole = np.abs(zs[:, None] - self.poles).min(axis=1) <= _support_tol(self.poles)
-            undefined = at_pole | np.isnan(zs)  # a NaN point is left out of the division, which would only warn
-            R[~undefined] += _sums(1.0 / (zs[~undefined, None] - self.poles), self.residues)
-            R[undefined] = np.nan
+            off = _nearest(self.poles, zs)[1]  # NaN points are left out of the division, which would only warn
+            R[off] += _sums(1.0 / (zs[off, None] - self.poles), self.residues)
+            R[~off] = np.nan
         return self._result(z, R)
 
 
@@ -119,11 +117,7 @@ def _denominator_zeros(poles, coeffs):
 
 def vf_scalar(points, values, d, opts=VfOptions()):
     """Vector fitting for scalar data; returns a 1x1 PoleResidue model."""
-    points = np.asarray(points, dtype=complex).ravel()
-    values = np.asarray(values, dtype=complex).ravel()
-    if points.size != values.size:
-        raise ParameterError("points and values must have equal length")
-    return vf_matrix(SampleSet(points, values), d, opts)
+    return vf_matrix(SampleSet(points, np.ravel(values)), d, opts)
 
 
 def vf_matrix(samples, d, opts=VfOptions()):

@@ -107,6 +107,19 @@ class TestBlockBaryB:
         with pytest.raises(EvaluationError):
             r(0.5j)
 
+    @pytest.mark.parametrize("order", [5, 10, 15])
+    def test_weight_layout_does_not_change_bits(self, toy2, order):
+        # the same weights in block-AAA's column-major blocks, C order and
+        # Fortran order give the same model, bit for bit
+        fit = block_aaa(toy2.samples, AaaOptions(max_order=order)).model
+        zs = toy2.samples.points
+        models = [BlockBaryB(fit.nodes, layout(fit.weights), fit.values)
+                  for layout in (np.asarray, np.ascontiguousarray, np.asfortranarray)]
+        for r in models[1:]:
+            assert r.weights.tobytes() == models[0].weights.tobytes()
+            assert r.weighted.tobytes() == models[0].weighted.tobytes()
+            assert r(zs).tobytes() == models[0](zs).tobytes()
+
 
 class TestBlockBaryC:
     def test_common_factor_gives_constant(self):

@@ -68,6 +68,11 @@ class TestLoewnerScalar:
         with pytest.warns(UserWarning):
             loewner_scalar(pts, 1.0 / (pts + 1), 4)
 
+    def test_zero_data_keeps_order_one(self):
+        pts = logspace_imaginary(1, 10, 12)
+        with pytest.warns(UserWarning, match="numerical Loewner rank 0"):
+            assert loewner_scalar(pts, np.zeros(12), 4).order == 1
+
     def test_loewner_numerical_rank_matches_type(self):
         pts = logspace_imaginary(1, 100, 20)
         f = (pts + 2) / ((pts + 1) * (pts + 3))  # type (1, 2)
@@ -98,6 +103,17 @@ class TestLoewnerBlock:
         for z in logspace_imaginary(1.5, 8, 10):
             a, b = ms(z), mb(z)
             assert np.linalg.norm(a - b) <= 1e-12 * max(1.0, np.linalg.norm(a))
+
+    @pytest.mark.parametrize("d", [10, 15])
+    @pytest.mark.parametrize("problem", ["toy1", "toy2"])
+    def test_order_capped_at_pencil_rank(self, problem, d, request):
+        # toy1 and toy2 have McMillan degree 8: an order-d fit is the order-8 one
+        samples = request.getfixturevalue(problem).samples
+        with pytest.warns(UserWarning, match=f"order {d} exceeds the numerical Loewner rank 8"):
+            model = loewner_block(samples, d)
+        assert model.order == 8
+        assert model(samples.points).tobytes() == loewner_block(samples, 8)(samples.points).tobytes()
+        assert rmse(samples, model) < 1e-13
 
     def test_toy1_order8(self, toy1):
         model = loewner_block(toy1.samples, 8)
