@@ -12,18 +12,22 @@ generalized eigenproblem is solved: RKFIT's pole relocation, the pencil
 linearization (`pencil_eigs`, `nonlinear_eigs_baryC`) and
 `loewner.model_poles`.
 
-Two kernels skip work their callers never read, and keep LAPACK's bits:
+Three kernels skip work their callers never read, and keep LAPACK's bits:
 
 * `solve_checked` decides singularity by `np.linalg.cond`, a full SVD per
-  block.  A 2x2 block first goes through a closed-form screen,
-  cond_2(S) <= ||S||_F^2 / |det S| (equal to c + 1/c); a block the screen
-  places 100x below COND_LIMIT cannot exceed it, so only the others reach
-  `np.linalg.cond`.  Blocks with a non-finite entry are NaN without a LAPACK
-  call.
+  block.  Each block first goes through a screen that proves
+  cond_2(S) <= COND_LIMIT / 100, and only the blocks it cannot clear reach
+  `np.linalg.cond`.  A 2x2 block is screened in closed form,
+  cond_2(S) <= ||S||_F^2 / |det S| (equal to c + 1/c); a k x k block by one
+  batched inverse Y, cond_2(S) <= ||S||_F ||Y||_F / (1 - ||I - S Y||_F).
+  Blocks with a non-finite entry are NaN, and reach neither
+  `np.linalg.cond` nor the solve.
 * `trailing_right_singular_vector` of a tall A takes the SVD of A's R
   factor.  From floor(17 cols / 9) rows on (LAPACK's MNTHR1), zgesdd factors
   A = QR itself and bidiagonalizes R; asking numpy for R alone skips the
   rows x cols Q that the economy SVD forms and the caller discards.
+* `singular_values` asks LAPACK for the singular values alone, for callers
+  that only count a numerical rank.
 """
 
 import warnings
@@ -42,6 +46,7 @@ COND_LIMIT = 1e14
 __all__ = [
     "SvdResult",
     "svd_full",
+    "singular_values",
     "trailing_left_singular_block",
     "trailing_right_singular_vector",
     "lstsq",
@@ -58,13 +63,13 @@ class SvdResult:
     v: np.ndarray  # column-orthonormal right singular vectors (M = u @ diag(s) @ v*)
 
 
-def _svd(M, full_matrices):
+def _svd(M, full_matrices, compute_uv=True):
     """The SVD of M as a complex matrix: the one SVD call of the package."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.size == 0:
         raise ParameterError("cannot take the SVD of an empty matrix")
     try:
-        return np.linalg.svd(M, full_matrices=full_matrices)
+        return np.linalg.svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"SVD did not converge for shape {M.shape}: {e}") from e
 
@@ -72,6 +77,11 @@ def _svd(M, full_matrices):
 def svd_full(M):
     u, s, vh = _svd(M, True)
     return SvdResult(u, s, vh.conj().T)
+
+
+def singular_values(M):
+    """The singular values of M, descending, without forming U or V."""
+    return _svd(M, False, compute_uv=False)
 
 
 def trailing_left_singular_block(M, m):
@@ -117,21 +127,46 @@ def lstsq(A, B):
 
 
 def _surely_well_conditioned(S):
-    """For an (N, 2, 2) stack: which blocks surely have cond_2 <= COND_LIMIT / 100.
+    """For an (N, k, k) stack: which blocks surely have cond_2 <= COND_LIMIT / 100.
 
-    ||S||_F^2 / |det S| = (s1^2 + s2^2) / (s1 s2) = c + 1/c bounds c = cond_2.
-    Each block is scaled by its largest real or imaginary part, so that
-    neither ||S||_F^2 nor det S overflows, and det S underflows only where it
-    is too small to clear the block; a zero block turns NaN and is not
-    cleared.  A cleared block has |det| >= 1e-12 ||S||_F^2, so the few ulps of
+    Each block is scaled by its largest real or imaginary part, so that no
+    norm below overflows; a zero or non-finite block turns NaN somewhere and
+    is not cleared.
+
+    k = 2: ||S||_F^2 / |det S| = (s1^2 + s2^2) / (s1 s2) = c + 1/c bounds
+    c = cond_2.  det S underflows only where it is too small to clear the
+    block.  A cleared block has |det| >= 1e-12 ||S||_F^2, so the few ulps of
     ||S||_F^2 that the computed det can be off move the bound by under 0.1%.
+
+    Other k: with Y the computed inverse and r = ||I - S Y||_F, r < 1 gives
+    ||S^-1||_2 <= ||Y||_2 / (1 - r), so cond_2 <= ||S||_F ||Y||_F / (1 - r).
+    A block is cleared where r <= 1/2 and that bound is at most
+    COND_LIMIT / 100; the rounding of S Y then moves r by at most about
+    3e-4 k, which the factor 100 absorbs.  When `inv` raises, on an exactly
+    singular block or on a non-finite one, no block is cleared.
     """
-    scale = np.maximum(np.abs(S.real), np.abs(S.imag)).max(axis=(1, 2))
-    with np.errstate(invalid="ignore"):
-        A = S / scale[:, None, None]
-        fro2 = np.sum(A.real**2 + A.imag**2, axis=(1, 2))
-        det = np.abs(A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0])
-        return fro2 <= COND_LIMIT / 100 * det
+    N, k = S.shape[:2]
+    parts = np.ascontiguousarray(S, dtype=complex).view(float)  # real and imaginary parts side by side
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        A = (parts * (1 / np.abs(parts).max(axis=(1, 2)))[:, None, None]).view(complex)
+        fro2 = _fro2(A)
+        if k == 2:
+            det = np.abs(A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0])
+            return fro2 <= COND_LIMIT / 100 * det
+        try:
+            Y = np.linalg.inv(A)
+        except np.linalg.LinAlgError:
+            return np.zeros(N, dtype=bool)
+        E = A @ Y
+        E[:, np.arange(k), np.arange(k)] -= 1  # E = S Y - I
+        r = np.sqrt(_fro2(E))
+        return (r <= 0.5) & (fro2 * _fro2(Y) <= ((1 - r) * (COND_LIMIT / 100)) ** 2)
+
+
+def _fro2(M):
+    """The squared Frobenius norm of each block of a C-contiguous complex stack."""
+    parts = M.view(float)
+    return np.einsum("ijk,ijk->i", parts, parts)
 
 
 def solve_checked(S, T):
@@ -143,7 +178,7 @@ def solve_checked(S, T):
     """
     X = np.full(T.shape, np.nan, dtype=complex)
     ok = np.isfinite(S).all(axis=(1, 2))
-    unsure = ok & ~_surely_well_conditioned(S) if S.shape[1] == 2 else ok.copy()
+    unsure = ok & ~_surely_well_conditioned(S)
     ok[unsure] = np.linalg.cond(S[unsure]) <= COND_LIMIT
     X[ok] = np.linalg.solve(S[ok], T[ok])
     return X

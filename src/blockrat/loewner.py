@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Evaluator, ParameterError, SampleSet
-from .kernels import finite_eigenvalues, solve_checked, svd_full
+from .kernels import finite_eigenvalues, singular_values, solve_checked, svd_full
 
 EPS_RANK = 1e-12  # relative singular-value floor for the rank warning and the order cap
 
@@ -75,7 +75,7 @@ def _project(L, Ls, V, W, d):
         # cap d at the pencil's ranks, rank([L Ls]) and rank([L; Ls]); a zero
         # pencil (zero data) keeps order 1
         for M in (np.hstack([L, Ls]), np.vstack([L, Ls])):
-            s = svd_full(M).s
+            s = singular_values(M)
             d = min(d, max(int(np.sum(s > EPS_RANK * s[0])), 1))
     X = svd.u[:, :d]
     Z = svd.v[:, :d]

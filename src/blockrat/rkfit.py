@@ -76,8 +76,9 @@ def build_basis(points, poles, degree=None):
             w = V[:, j - 1] / (points - poles[j - 1])
         else:
             w = V[:, j - 1] * (points / scale)
+        Vh = V[:, :j].conj().T  # a conjugate copy: the strided V.conj()[:, :j].T rounds differently
         for _ in range(2):
-            w = w - V[:, :j] @ (V[:, :j].conj().T @ w)
+            w = w - V[:, :j] @ (Vh @ w)
         norm = np.linalg.norm(w)
         if norm <= 1e3 * np.finfo(float).eps:
             raise NumericalError("rational basis breakdown: dependent direction")
@@ -88,8 +89,9 @@ def build_basis(points, poles, degree=None):
 def _leja_indices(points, count):
     """Greedy Leja-style selection of well-spread interpolation nodes."""
     chosen = [int(np.argmax(np.abs(points)))]
+    dist = np.ones(points.size)  # prod_c |z - z_c| over the chosen c, multiplied in the order chosen
     while len(chosen) < count:
-        dist = np.prod(np.abs(points[:, None] - points[chosen][None, :]), axis=1)
+        dist *= np.abs(points - points[chosen[-1]])
         chosen.append(int(np.argmax(dist)))
     return np.array(chosen)
 

@@ -99,6 +99,9 @@ def initial_poles(points, d):
 
 def _dedupe(poles):
     poles = np.asarray(poles, dtype=complex)
+    a, b = np.triu_indices(poles.size, 1)
+    if not np.any(np.abs(poles[a] - poles[b]) == 0):  # the loop's own test, on all pairs at once
+        return poles
     for i in range(poles.size):
         while np.any(np.abs(poles[:i] - poles[i]) == 0):
             poles[i] += 1e-8 * (1 + abs(poles[i]))
@@ -138,15 +141,18 @@ def vf_matrix(samples, d, opts=VfOptions()):
     if poles.size != d:
         raise ParameterError(f"expected {d} initial poles, got {poles.size}")
 
-    e = np.arange(ne)
+    # unknowns: per-entry [c_1..c_d, c_0], then the shared [d_1..d_d];
+    # rows: one block of ell sample rows per entry.  Only the Cauchy columns
+    # change between iterations, so A is allocated once and they are rewritten
+    A = np.zeros((ne, ell, ne * (d + 1) + d), dtype=complex)
+    for i in range(ne):
+        A[i, :, i * (d + 1) + d] = 1
     for _ in range(opts.iterations):
         P = _cauchy(points, poles)  # (ell, d)
-        # unknowns: per-entry [c_1..c_d, c_0], then the shared [d_1..d_d];
-        # rows: one block of ell sample rows per entry
-        A = np.zeros((ne, ell, ne, d + 1), dtype=complex)
-        A[e, :, e] = np.column_stack([P, np.ones(ell)])
-        A = np.hstack([A.reshape(ne * ell, ne * (d + 1)), (-fs.T[:, :, None] * P).reshape(ne * ell, d)])
-        sol = lstsq(A, fs.T.ravel())
+        for i in range(ne):
+            A[i, :, i * (d + 1) : i * (d + 1) + d] = P
+        np.multiply(-fs.T[:, :, None], P, out=A[:, :, ne * (d + 1) :])
+        sol = lstsq(A.reshape(ne * ell, -1), fs.T.ravel())
         poles = _dedupe(_denominator_zeros(poles, sol[ne * (d + 1) :]))
         if opts.enforce_stability:
             poles = _dedupe(np.where(poles.real > 0, -np.conj(poles), poles))  # reflect unstable poles

@@ -1,8 +1,9 @@
 """Reference computations that only the tests use.
 
-Both are independent of the pencil linearization they check: the matrix
-polynomial N(z) evaluated term by term, and polynomial roots from numpy's
-companion matrix.
+The first two are independent of the pencil linearization they check: the
+matrix polynomial N(z) evaluated term by term, and polynomial roots from
+numpy's companion matrix.  The last two are the plain loops that
+`vecfit._dedupe` and `rkfit._leja_indices` must match byte for byte.
 """
 
 import numpy as np
@@ -34,3 +35,21 @@ def eval_node_polynomial(C, nodes, z):
     for k in range(nodes.size):
         out += C[k] * np.prod(z - np.delete(nodes, k))
     return out
+
+
+def dedupe_loop(poles):
+    """Nudge each pole that coincides with an earlier one until it is distinct."""
+    poles = np.asarray(poles, dtype=complex)
+    for i in range(poles.size):
+        while np.any(np.abs(poles[:i] - poles[i]) == 0):
+            poles[i] += 1e-8 * (1 + abs(poles[i]))
+    return poles
+
+
+def leja_indices_prod(points, count):
+    """Greedy Leja selection, each distance product taken afresh with np.prod."""
+    chosen = [int(np.argmax(np.abs(points)))]
+    while len(chosen) < count:
+        dist = np.prod(np.abs(points[:, None] - points[chosen][None, :]), axis=1)
+        chosen.append(int(np.argmax(dist)))
+    return np.array(chosen)

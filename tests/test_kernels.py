@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from blockrat.core import NumericalError, ParameterError
 from blockrat.kernels import (
     COND_LIMIT,
+    _surely_well_conditioned,
     finite_eigenvalues,
     gen_eig,
     lstsq,
+    singular_values,
     solve_checked,
     svd_full,
     trailing_left_singular_block,
@@ -215,6 +217,113 @@ class TestSolveChecked:
 
     def test_empty_stack(self):
         assert solve_checked(np.zeros((0, 2, 2)), np.zeros((0, 2, 1))).shape == (0, 2, 1)
+
+
+def _growth_worst_case(k):
+    """1 on the diagonal and in the last column, -1 below: partial pivoting grows it by 2^(k-1)."""
+    W = np.eye(k) - np.tril(np.ones((k, k)), -1)
+    W[:, -1] = 1
+    return W.astype(complex)
+
+
+def _with_condition(M, log10_cond):
+    """M with its smallest singular value moved to s_1 / 10^log10_cond."""
+    u, s, vh = np.linalg.svd(M)
+    s[-1] = s[0] * 10.0**-log10_cond
+    return (u * s) @ vh
+
+
+class TestKxkScreen:
+    """`solve_checked` clears k x k blocks (k != 2) with one batched inverse."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 3, 4, 8, 15]),
+        st.integers(1, 3),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_matches_cond_then_solve_bytes(self, seed, k, n, zero, rank_one, nonfinite):
+        """Condition numbers log-uniform in [1, 1e17] and clustered at COND_LIMIT / 100
+        and COND_LIMIT, scales 1e-300 to 1e300, and optionally zero, rank-one
+        (for k > 1 these make `inv` raise) and non-finite blocks."""
+        rng = np.random.default_rng(seed)
+        conds = np.concatenate([rng.uniform(0, 17, 40), rng.uniform(11.9, 12.1, 40), rng.uniform(13.9, 14.1, 40)])
+        scales = np.concatenate([rng.uniform(-2, 2, 60), rng.uniform(-300, 300, 60)])
+        blocks = [_blocks_of_known_condition(rng, k, conds, rng.permutation(scales))]
+        if zero:
+            blocks.append(np.zeros((2, k, k)))
+        if rank_one:
+            r1 = rng.normal(size=(3, k, 1)) @ rng.normal(size=(3, 1, k)) * (1 + 1j)
+            blocks += [r1, r1 * 1e-300, r1 * 1e300]
+        if nonfinite:
+            bad = blocks[0][:4].copy()
+            bad[:, 0, -1] = [np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1)]
+            blocks.append(bad)
+        S = rng.permutation(np.concatenate(blocks))
+        T = rng.normal(size=(len(S), k, n)) + 1j * rng.normal(size=(len(S), k, n))
+        assert solve_checked(S, T).tobytes() == _cond_then_solve(S, T).tobytes()
+
+    @pytest.mark.parametrize("k", [3, 4, 8, 15])  # at k = 1 the one singular block is zero, which turns NaN
+    def test_one_exactly_singular_block(self, k):
+        rng = np.random.default_rng(k)
+        S = _blocks_of_known_condition(rng, k, rng.uniform(0, 10, 20), rng.uniform(-300, 300, 20))
+        S[7] = np.diag(np.arange(k) > 0).astype(complex)  # a zero pivot: inv raises for the stack
+        T = rng.normal(size=(20, k, 2)) + 1j * rng.normal(size=(20, k, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(S)
+        assert not _surely_well_conditioned(S).any()
+        X = solve_checked(S, T)
+        assert X.tobytes() == _cond_then_solve(S, T).tobytes()
+        assert np.isnan(X[7]).all() and not np.isnan(np.delete(X, 7, axis=0)).any()
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 8, 15])
+    def test_well_conditioned_blocks_are_all_cleared(self, k):
+        """The screen is what spares `np.linalg.cond`: it must clear the easy blocks."""
+        rng = np.random.default_rng(100 + k)
+        S = _blocks_of_known_condition(rng, k, rng.uniform(0, 10, 50), rng.uniform(-300, 300, 50))
+        assert _surely_well_conditioned(S).all()
+
+    def test_inverse_with_a_large_residual_clears_nothing(self, monkeypatch):
+        """||S|| ||Y|| bounds cond_2 only for a Y that passes the residual check."""
+        rng = np.random.default_rng(3)
+        S = _blocks_of_known_condition(rng, 4, [13.0] * 5, [0.0] * 5)  # cond 1e13, above what may clear
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda A: inv(A) / 1e6)  # ||S|| ||Y|| about 1e7
+        assert not _surely_well_conditioned(S).any()
+
+    def test_partial_pivoting_worst_case(self):
+        """k = 15 with growth 2^14, as it is and moved to condition numbers around the limits."""
+        rng = np.random.default_rng(15)
+        W = _growth_worst_case(15)
+        S = np.stack([W] + [_with_condition(W, c) for c in (10, 11.9, 12, 12.1, 13, 13.9, 14, 14.1, 16, 17)])
+        S = np.concatenate([S * a for a in (1e-300, 1.0, 1e300)])
+        T = rng.normal(size=(len(S), 15, 3)) + 1j * rng.normal(size=(len(S), 15, 3))
+        assert _surely_well_conditioned(S[:1]).all()
+        assert solve_checked(S, T).tobytes() == _cond_then_solve(S, T).tobytes()
+
+
+class TestSingularValues:
+    def test_matches_svd_full_values(self):
+        rng = np.random.default_rng(21)
+        for shape in [(50, 100), (100, 50), (7, 7), (1, 5)]:
+            A = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            s = singular_values(A)
+            assert s.shape == svd_full(A).s.shape
+            assert np.all(np.diff(s) <= 0)
+            assert np.abs(s - svd_full(A).s).max() <= 1e-13 * s[0]
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ParameterError):
+            singular_values(np.zeros((0, 3)))
+
+    def test_nonfinite_matrix_raises_numerical_error(self):
+        A = np.ones((3, 4))
+        A[0, 0] = np.nan
+        with pytest.raises(NumericalError):
+            singular_values(A)
 
 
 class TestLstsq:

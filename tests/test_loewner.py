@@ -15,6 +15,7 @@ from blockrat import (
     partition,
     rmse,
 )
+from blockrat.kernels import singular_values, svd_full
 
 
 class TestPartition:
@@ -114,6 +115,23 @@ class TestLoewnerBlock:
         assert model.order == 8
         assert model(samples.points).tobytes() == loewner_block(samples, 8)(samples.points).tobytes()
         assert rmse(samples, model) < 1e-13
+
+    @pytest.mark.parametrize("d", [10, 15])
+    @pytest.mark.parametrize("problem", ["toy1", "toy2"])
+    def test_values_only_rank_matches_svd_full(self, problem, d, request, monkeypatch):
+        # the cap reads rank([L Ls]) and rank([L; Ls]) from singular values alone
+        pencils = []
+        monkeypatch.setattr(loewner, "singular_values", lambda M: pencils.append(M) or singular_values(M))
+        with pytest.warns(UserWarning):
+            loewner_block(request.getfixturevalue(problem).samples, d)
+
+        def rank(s):
+            return int(np.sum(s > loewner.EPS_RANK * s[0]))
+
+        assert len(pencils) == 2
+        ranks = [rank(singular_values(M)) for M in pencils]
+        assert ranks == [rank(svd_full(M).s) for M in pencils]
+        assert min(ranks) == 8
 
     def test_toy1_order8(self, toy1):
         model = loewner_block(toy1.samples, 8)

@@ -2,6 +2,8 @@ import ctypes
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockrat import (
     FitResult,
@@ -17,6 +19,8 @@ from blockrat import (
     rkfit_fit,
     rmse,
 )
+from blockrat.rkfit import _leja_indices
+from tests.oracles import leja_indices_prod
 
 
 class TestBuildBasis:
@@ -152,3 +156,21 @@ class TestPoleOnSamplePoint:
             rkfit_fit(toy2.samples, RkfitOptions(degree=15, iterations=5))
         ctypes.CDLL(None).fflush(None)  # flush C stdio, where LAPACK writes
         assert "LASCL" not in capfd.readouterr().out
+
+
+class TestLejaIndices:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 16), st.sampled_from([0, 1, 100, 300]))
+    def test_matches_np_prod_bytes(self, seed, ell, count, log10_scale):
+        """Random points with mirrored copies (tied distances) and, at large
+        scales, distance products that overflow to inf and tie there."""
+        rng = np.random.default_rng(seed)
+        pts = (rng.normal(size=ell) + 1j * rng.normal(size=ell)) * 10.0 ** rng.uniform(-1, 1, ell)
+        pts = np.concatenate([pts, -pts[: ell // 2], [0.0]]) * 10.0**log10_scale
+        count = min(count, pts.size)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf products, and inf * 0, in both
+            assert _leja_indices(pts, count).tobytes() == leja_indices_prod(pts, count).tobytes()
+
+    def test_log_grid(self):
+        pts = logspace_imaginary(1, 1e4, 200)
+        assert _leja_indices(pts, 16).tobytes() == leja_indices_prod(pts, 16).tobytes()

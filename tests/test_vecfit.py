@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockrat import (
     EvaluationError,
@@ -14,7 +16,8 @@ from blockrat import (
     vf_matrix,
     vf_scalar,
 )
-from blockrat.vecfit import initial_poles
+from blockrat.vecfit import _dedupe, initial_poles
+from tests.oracles import dedupe_loop
 
 
 class TestPoleResidue:
@@ -132,3 +135,28 @@ class TestInitialPoles:
 
     def test_degree_zero(self):
         assert initial_poles(logspace_imaginary(1, 10, 5), 0).size == 0
+
+
+# a small pool, so that drawn poles often coincide; signed zeros and infinite
+# parts are where a vectorized test could part from the loop's
+_POLE_POOL = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 1.0, -1 + 2j, -1 - 2j, 1e-300j,
+              1e300, np.inf, -np.inf, complex(0, np.inf), complex(np.inf, 1), complex(-1, -np.inf)]
+
+
+class TestDedupe:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(_POLE_POOL) | st.complex_numbers(max_magnitude=1e3), max_size=16))
+    def test_matches_the_loop_bytes(self, poles):
+        poles = np.array(poles, dtype=complex)
+        with np.errstate(invalid="ignore"):  # inf - inf, in both
+            assert _dedupe(poles.copy()).tobytes() == dedupe_loop(poles.copy()).tobytes()
+
+    def test_distinct_poles_come_back_unchanged(self):
+        poles = np.array([0.0, -0.0 + 1j, -1 - 2j, -1 + 2j, np.inf])
+        with np.errstate(invalid="ignore"):
+            assert _dedupe(poles.copy()).tobytes() == poles.tobytes()
+
+    def test_duplicates_are_nudged_apart(self):
+        poles = _dedupe(np.array([-1.0, -1.0, complex(-0.0, 0.0), 0.0]))
+        assert np.unique(poles).size == 4
+        assert poles.tobytes() == dedupe_loop(np.array([-1.0, -1.0, complex(-0.0, 0.0), 0.0])).tobytes()
