@@ -105,7 +105,7 @@ class _Barycentric(Evaluator):
         return self.values.shape[1:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarBarycentric(_Barycentric):
     """r(z) = sum_k w_k f_k / (z - z_k)  /  sum_k w_k / (z - z_k)."""
 
@@ -135,7 +135,7 @@ class ScalarBarycentric(_Barycentric):
         return self._result(z, _scalar_weight_quotient(self, zs, lambda c: np.sum(c * self.values[None], axis=1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockBaryA(_Barycentric):
     """Scalar-weight barycentric form with matrix values F_k."""
 
@@ -162,7 +162,7 @@ class BlockBaryA(_Barycentric):
         return self._result(z, _scalar_weight_quotient(self, zs, lambda c: _sums(c, self.values)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockBaryB(_Barycentric):
     """Matrix-weight barycentric form; the output of block-AAA.
 
@@ -201,7 +201,7 @@ class BlockBaryB(_Barycentric):
         return self._result(z, _matrix_weight_quotient(self, zs, lambda k: self.values[k], self.weights, self.weighted))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockBaryC(_Barycentric):
     """Fully general barycentric quotient with numerator and denominator blocks.
 

@@ -8,8 +8,6 @@ ingested through the documented text format; those RMSE/timing tables are
 not reproducible without the data files.
 """
 
-import argparse
-import csv
 import sys
 import time
 import warnings
@@ -40,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     name: str
     samples: SampleSet
@@ -57,17 +55,19 @@ class RunRecord:
     trace: list = field(default_factory=list)
 
 
+def _block2(a, b, c, d):
+    """[[a, b], [c, d]] as a complex 2x2 matrix, or an (N, 2, 2) stack for entries of N values each."""
+    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2, dtype=complex)
+
+
 def _toy1_value(z):
     off = (3 - z) / (z**2 + z - 5)
-    return np.array(
-        [[2 / (z + 1), off], [off, (2 + z**2) / (z**3 + 3 * z**2 - 1)]],
-        dtype=complex,
-    )
+    return _block2(2 / (z + 1), off, off, (2 + z**2) / (z**3 + 3 * z**2 - 1))
 
 
 def _toy2_value(z):
     F = _toy1_value(z)
-    F[0, 1] = (3 - z) / (z**2 + z + 5)
+    F[..., 0, 1] = (3 - z) / (z**2 + z + 5)
     return F
 
 
@@ -75,11 +75,12 @@ def _buckling_value(z):
     # the off-diagonal numerator reads 2z (the symbol printed there is unbound)
     diag = z * (1 - 2 * z / np.tan(2 * z)) / (np.tan(z) - z)
     off = z * (2 * z - np.sin(2 * z)) / (np.sin(2 * z) * (np.tan(z) - z))
-    return np.array([[diag + 10, off], [off, diag + 4]], dtype=complex)
+    return _block2(diag + 10, off, off, diag + 4)
 
 
 def _sample(fn, points):
-    return SampleSet(points, np.array([fn(z) for z in points]))
+    """A problem function maps a point to its value and a 1-D array of points to the stack of values."""
+    return SampleSet(points, fn(points))
 
 
 def problem_toy1(ell=100):
@@ -101,7 +102,7 @@ def problem_buckling(ell=500):
 
 
 def _scalar_noise_value(z):
-    return np.array([[(z - 1) / (z**2 + z + 2)]], dtype=complex)
+    return np.asarray((z - 1) / (z**2 + z + 2), dtype=complex)[..., None, None]
 
 
 def problem_scalar_noise(ell=500, tau=1e-2, seed=2023):
@@ -229,6 +230,8 @@ def run_sweep(problem, methods, orders, tol=1e-13, iters=5, seed=0, repeats=20,
 
 
 def _write_records(fh, problem_name, records):
+    import csv  # imported here, like argparse in `main`: importing blockrat.cli loads neither
+
     out = csv.writer(fh, lineterminator="\n")
     out.writerow(["problem", "method", "order", "rmse", "time_ms", "status"])
     for r in records:
@@ -239,6 +242,8 @@ def write_csv(problem_name, records, path, with_trace=False):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         _write_records(fh, problem_name, records)
     if with_trace:
+        import csv
+
         with open(str(path) + ".trace.csv", "w", newline="", encoding="utf-8") as fh:
             out = csv.writer(fh, lineterminator="\n")
             out.writerow(["problem", "method", "order", "iteration", "value"])
@@ -255,6 +260,8 @@ def _parse_orders(spec):
 
 
 def main(argv=None):
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="blockrat-fit",
         description="Fit matrix-valued rational approximants and report RMSE/timing as CSV.",

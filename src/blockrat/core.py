@@ -13,6 +13,8 @@ derives from :class:`Evaluator` and follows its contract:
   the points where ``model(z)`` raises.
 
 `rmse` also accepts any other callable that maps a scalar z to a matrix.
+The package's records that hold arrays (sample sets, models, fit results)
+compare by identity and hash by id.
 """
 
 from dataclasses import dataclass, field
@@ -56,14 +58,21 @@ def _freeze(a):
 
 
 def _distinct(x, what):
-    """x as a 1-D complex array; ParameterError unless its entries are pairwise distinct."""
+    """x as a 1-D complex array; ParameterError unless its entries are pairwise distinct.
+
+    Equal means what np.unique counts as one value: +0 equals -0, and all
+    complex NaNs are equal.  Decided by sorting, where equal values end up
+    next to each other and NaNs last; np.unique would import numpy.ma.
+    """
     x = np.asarray(x, dtype=complex).ravel()
-    if len(np.unique(x)) != x.size:
+    s = x.copy()
+    s.sort()
+    if x.size > 1 and (np.count_nonzero(s[1:] == s[:-1]) or s[-2] != s[-2]):
         raise ParameterError(f"{what} must be pairwise distinct")
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Pairwise distinct complex points with one m-by-n matrix sample each.
 
@@ -144,7 +153,7 @@ class Evaluator:
         return EvaluationError(self._undefined.format(z=z))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """A fitted model and what its iterations saw; block-AAA and RKFIT return one."""
 

@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdResult:
     u: np.ndarray  # column-orthonormal left singular vectors
     s: np.ndarray  # singular values, descending

@@ -23,7 +23,7 @@ from .kernels import finite_eigenvalues
 __all__ = ["Pencil", "bary_poly_weights", "build_pencil", "pencil_eigs", "nonlinear_eigs_baryC"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pencil:
     L0: np.ndarray  # (d*s, d*s)
     L1: np.ndarray

@@ -18,7 +18,7 @@ EPS_RANK = 1e-12  # relative singular-value floor for the rank warning and the o
 __all__ = ["LoewnerModel", "partition", "loewner_scalar", "loewner_block", "model_poles"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoewnerModel(Evaluator):
     """Projected realization: R(z) = Cr (Ar - z Er)^-1 Br."""
 
@@ -72,11 +72,14 @@ def _project(L, Ls, V, W, d):
     numrank = int(np.sum(svd.s > EPS_RANK * svd.s[0]))
     if d > numrank:
         warnings.warn(f"order {d} exceeds the numerical Loewner rank {numrank}")
-        # cap d at the pencil's ranks, rank([L Ls]) and rank([L; Ls]); a zero
-        # pencil (zero data) keeps order 1
+        if not (L.any() or Ls.any()):
+            # a zero pencil (zero data): order 1 with a regular resolvent, zero everywhere
+            return LoewnerModel(Er=np.zeros((1, 1), complex), Ar=np.ones((1, 1), complex),
+                                Br=np.zeros((1, V.shape[1]), complex), Cr=np.zeros((W.shape[0], 1), complex))
+        # cap d at the pencil's ranks, rank([L Ls]) and rank([L; Ls])
         for M in (np.hstack([L, Ls]), np.vstack([L, Ls])):
             s = singular_values(M)
-            d = min(d, max(int(np.sum(s > EPS_RANK * s[0])), 1))
+            d = min(d, int(np.sum(s > EPS_RANK * s[0])))
     X = svd.u[:, :d]
     Z = svd.v[:, :d]
     return LoewnerModel(

@@ -36,7 +36,7 @@ class RkfitOptions:
             raise ParameterError("need at least one RKFIT iteration")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalBasis:
     """Orthonormal basis of {p(lambda)/q(lambda) : deg p <= d} on the points.
 
@@ -96,15 +96,15 @@ def _leja_indices(points, count):
     return np.array(chosen)
 
 
-def _polynomial_roots_from_values(points, pvals, degree):
-    """Roots of the degree-<=degree polynomial with samples `pvals` on `points`.
+def _polynomial_roots_from_values(points, pvals, Q):
+    """Roots of the degree-<=d polynomial with samples `pvals` on `points`.
 
-    Least-squares projection onto an orthonormal polynomial basis of the
-    points (built incrementally, like the rational basis), then a
+    Least-squares projection onto Q, the (ell, d+1) orthonormal polynomial
+    basis of the points that `build_basis(points, [], d)` builds, then a
     barycentric-pencil eigenvalue problem on Leja nodes.  Avoids monomial
     coefficients, which are hopeless on wide log grids.
     """
-    Q = build_basis(points, [], degree=degree).V
+    degree = Q.shape[1] - 1
     pfit = Q @ (Q.conj().T @ pvals)  # best degree-<=degree fit, by values
     if degree == 0:
         return np.array([], dtype=complex)
@@ -114,12 +114,14 @@ def _polynomial_roots_from_values(points, pvals, degree):
     return pencil_eigs(build_pencil(C, nodes)).ravel()
 
 
-def relocate_poles(basis, sample_functions):
+def relocate_poles(basis, sample_functions, poly=None):
     """One RKFIT step: new poles from the minimal-misfit basis combination.
 
     `sample_functions` is a sequence of value vectors on the basis points
     (one per matrix entry for block data).  Returns up to `degree` finite
-    poles (roots that escape to infinity drop out of the list).
+    poles (roots that escape to infinity drop out of the list).  `poly` is
+    the pole-free basis `build_basis(basis.points, [], basis.degree)` when
+    the caller has it; a step that needs it and is not given it builds it.
     """
     V = basis.V
     # I - V V^H in place, without an ell x ell identity; 0 - x rather than -x
@@ -143,8 +145,11 @@ def relocate_poles(basis, sample_functions):
             roots = _denominator_zeros(basis.poles, gamma / delta)
             roots = roots[np.abs(roots) < 1e8 * basis.scale]
             return _dedupe(roots)
-    roots = _polynomial_roots_from_values(basis.points, pvals, basis.degree)
-    return _dedupe(roots)
+    if basis.poles.size == 0:
+        poly = basis
+    elif poly is None:
+        poly = build_basis(basis.points, [], degree=basis.degree)
+    return _dedupe(_polynomial_roots_from_values(basis.points, pvals, poly.V))
 
 
 RkfitResult = FitResult  # an alias: block-AAA and RKFIT share one result type
@@ -165,9 +170,12 @@ def rkfit_fit(samples, opts):
     from .core import rmse  # looked up at call time, so a rebound core.rmse is seen
 
     trace = []
+    poly = None  # the pole-free basis, kept from a step with every pole at infinity
     for _ in range(opts.iterations):  # at least one, so `model` is always bound
         basis = build_basis(samples.points, poles, degree=d)
-        poles = relocate_poles(basis, fs)
+        if poles.size == 0:
+            poly = basis
+        poles = relocate_poles(basis, fs, poly)
         # the window in which PoleResidue reports a point as a pole
         if poles.size and _nearest(poles, samples.points)[0].any():
             raise NumericalError("a relocated pole lies on a sample point")

@@ -18,7 +18,7 @@ from .kernels import lstsq
 __all__ = ["PoleResidue", "VfOptions", "vf_scalar", "vf_matrix", "initial_poles"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoleResidue(Evaluator):
     """R(z) = D + sum_k C_k / (z - xi_k) with matrix constant and residues."""
 

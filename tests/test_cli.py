@@ -3,8 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from blockrat import ParameterError, SampleSet, rmse
+from blockrat import NoiseSpec, ParameterError, SampleSet, add_noise, rmse
 from blockrat.cli import (
+    PROBLEMS,
     load_samples,
     main,
     problem_buckling,
@@ -80,6 +81,19 @@ class TestScalarNoiseProblem:
             [p.samples.values[i, 0, 0] - p.truth(z)[0, 0] for i, z in enumerate(p.samples.points)]
         )
         assert 0.005 <= np.std(diffs.real) <= 0.015
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_sampling_in_one_call_matches_the_point_by_point_loop(name):
+    p = PROBLEMS[name]()
+    pts = p.samples.points
+    loop = np.array([p.truth(z) for z in pts])
+    assert p.truth(pts).tobytes() == loop.tobytes()
+    want = loop if name != "scalar-noise" else add_noise(SampleSet(pts, loop), NoiseSpec(1e-2, 2023)).values
+    assert p.samples.values.tobytes() == want.tobytes()
+    m, n = p.samples.shape
+    assert p.truth(pts[0]).shape == (m, n)
+    assert p.truth(complex(pts[0])).shape == (m, n)
 
 
 class TestSampleFiles:

@@ -2,8 +2,11 @@
 
 Importing blockrat, sampling the built-in problems and fitting with the AAA
 family, vector fitting and the Loewner framework run on numpy alone; scipy
-is imported by `kernels.gen_eig`, the QZ step.  A fresh interpreter is
-needed to see this, since the test session itself has scipy loaded.
+is imported by `kernels.gen_eig`, the QZ step.  They do not load numpy.ma
+either (np.unique would), and importing `blockrat.cli` does not load
+argparse or csv, which only its `main` and CSV writers use.  A fresh
+interpreter is needed to see this, since the test session itself has all of
+these loaded.
 """
 
 import json
@@ -26,6 +29,8 @@ from blockrat import RkfitOptions, rkfit_fit
 from blockrat.cli import PROBLEMS, run_sweep
 from blockrat.kernels import gen_eig
 
+cli_loaded = sorted(m for m in ("argparse", "csv") if m in sys.modules)
+
 MATRIX_METHODS = ["set-valued-aaa", "surrogate-aaa", "block-aaa", "vf", "loewner"]
 
 problems = {name: make() for name, make in PROBLEMS.items()}
@@ -35,6 +40,7 @@ for name, problem in problems.items():
     for r in run_sweep(problem, methods, [3], repeats=1):
         statuses[f"{name}/{r.method}"] = r.status
 numpy_only = sorted(m for m in sys.modules if m.startswith("scipy"))
+ma_loaded = "numpy.ma" in sys.modules
 
 rkfit_fit(problems["toy1"].samples, RkfitOptions(degree=3, iterations=1))
 linalg_loaded = "scipy.linalg" in sys.modules
@@ -47,7 +53,7 @@ B = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
 alpha, beta = scipy.linalg.eig(A, B, right=False, homogeneous_eigvals=True)
 same_pairs = np.array(gen_eig(A, B)).tobytes() == np.column_stack([alpha, beta]).tobytes()
 
-print(json.dumps({"statuses": statuses, "scipy_modules": numpy_only,
+print(json.dumps({"statuses": statuses, "scipy_modules": numpy_only, "cli_loaded": cli_loaded, "ma_loaded": ma_loaded,
                   "linalg_loaded": linalg_loaded, "same_pairs": same_pairs}))
 """
 
@@ -64,5 +70,7 @@ def test_scipy_loads_only_at_the_first_generalized_eigenproblem():
     assert len(out["statuses"]) == 4 * 5 + 1
     assert set(out["statuses"].values()) == {"ok"}, out["statuses"]
     assert out["scipy_modules"] == []
+    assert not out["ma_loaded"]
+    assert out["cli_loaded"] == []
     assert out["linalg_loaded"]
     assert out["same_pairs"]

@@ -1,15 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blockrat import (
     ContractError,
     NoiseSpec,
     ParameterError,
     SampleSet,
+    aaa_scalar,
     add_noise,
     logspace_imaginary,
     rmse,
 )
+from blockrat.core import _distinct
+
+# np.unique counts the four signed zeros as one value and the five NaNs as
+# one more; infinities and signed zeros in 1 and 1j give the other ties
+TIES = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+              complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.nan, np.nan), complex(np.nan, 1.0),
+              complex(np.inf, 0.0), complex(-np.inf, 0.0), complex(0.0, np.inf), complex(np.inf, np.nan),
+              complex(1.0, 0.0), complex(1.0, -0.0), 1j, complex(-0.0, 1.0), complex(1.0, 1.0)]
+
+
+def _unique_says_repeated(x):
+    return len(np.unique(x)) != x.size
 
 
 class TestLogspaceImaginary:
@@ -81,6 +96,49 @@ class TestSampleSet:
         s = SampleSet([1j, 2j, 3j], [1.0, 2.0, 3.0])
         with pytest.raises(ParameterError):
             s.subset(indices)
+
+
+class TestDistinct:
+    @pytest.mark.parametrize("x", [
+        [], [1j], [np.nan], [1j, 2j], [1j, 1j], [0.0, -0.0], [complex(0.0, -0.0), 0.0],
+        [np.nan, complex(0.0, np.nan)], [complex(np.nan, 1.0), complex(2.0, np.nan)], [np.nan, 1j],
+        [np.inf, np.inf], [np.inf, -np.inf], [complex(np.inf, 1.0), complex(np.inf, 2.0)],
+        [1j, 2j, 3j, 1j], [3j, np.nan, 1j, np.nan, 2j],
+    ])
+    def test_agrees_with_unique(self, x):
+        x = np.array(x, dtype=complex)
+        repeated = _unique_says_repeated(x)
+        if repeated:
+            with pytest.raises(ParameterError, match="^points must be pairwise distinct$"):
+                _distinct(x, "points")
+        else:
+            assert _distinct(x, "points").tobytes() == x.tobytes()
+
+    @given(st.lists(st.sampled_from(TIES) | st.complex_numbers(allow_nan=True, allow_infinity=True),
+                    max_size=20))
+    def test_agrees_with_unique_on_random_lists(self, xs):
+        x = np.array(xs, dtype=complex)
+        try:
+            _distinct(x, "points")
+            repeated = False
+        except ParameterError:
+            repeated = True
+        assert repeated == _unique_says_repeated(x)
+
+
+class TestIdentity:
+    """Records that hold arrays compare by identity and hash by id."""
+
+    def test_sample_set(self):
+        s = SampleSet(logspace_imaginary(1, 10, 4), np.ones(4))
+        same = SampleSet(s.points, s.values)
+        assert s == s and s != same
+        assert len({s, same, s}) == 2
+
+    def test_model(self, toy1):
+        a, b = (aaa_scalar(toy1.samples.points, toy1.samples.values[:, 0, 0]) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 class TestRmse:

@@ -74,6 +74,22 @@ class TestLoewnerScalar:
         with pytest.warns(UserWarning, match="numerical Loewner rank 0"):
             assert loewner_scalar(pts, np.zeros(12), 4).order == 1
 
+    def test_zero_data_model_is_zero_everywhere(self):
+        pts = logspace_imaginary(1, 10, 12)
+        with pytest.warns(UserWarning, match="numerical Loewner rank 0"):
+            model = loewner_scalar(pts, np.zeros(12), 3)
+        assert model.order == 1
+        assert rmse(SampleSet(pts, np.zeros(12)), model) == 0
+        assert np.all(model(np.array([0, 1, -1j, 1e8])) == 0)
+        assert model_poles(model).size == 0
+
+    def test_zero_block_data_keeps_its_shape(self):
+        samples = SampleSet(logspace_imaginary(1, 10, 12), np.zeros((12, 2, 3)))
+        with pytest.warns(UserWarning, match="numerical Loewner rank 0"):
+            model = loewner_block(samples, 2)
+        assert model.shape == (2, 3)
+        assert rmse(samples, model) == 0
+
     def test_loewner_numerical_rank_matches_type(self):
         pts = logspace_imaginary(1, 100, 20)
         f = (pts + 2) / ((pts + 1) * (pts + 3))  # type (1, 2)

@@ -19,6 +19,7 @@ from blockrat import (
     rkfit_fit,
     rmse,
 )
+import blockrat.rkfit as rkfit
 from blockrat.rkfit import _leja_indices
 from tests.oracles import leja_indices_prod
 
@@ -139,6 +140,18 @@ class TestRkfitFit:
             RkfitOptions(degree=-1)
         with pytest.raises(ParameterError):
             RkfitOptions(degree=2, iterations=0)
+
+
+def test_one_basis_per_iteration(monkeypatch):
+    # the first step, with every pole at infinity, finds roots in the basis it
+    # was given, and the second, with 9 of 10 poles finite, reuses that basis
+    from blockrat.cli import problem_buckling
+
+    calls = []
+    build = rkfit.build_basis
+    monkeypatch.setattr(rkfit, "build_basis", lambda *a, **k: calls.append(a) or build(*a, **k))
+    res = rkfit_fit(problem_buckling().samples, RkfitOptions(degree=10))
+    assert len(calls) == len(res.errors) == 5
 
 
 class TestPoleOnSamplePoint:
