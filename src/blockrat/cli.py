@@ -40,9 +40,17 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Problem:
+    """A named sample set, with the clean function behind it when that is analytic.
+
+    `truth`, when given, maps a point to its (m, n) value and a 1-D array of
+    N points to the (N, m, n) stack of values, as every built-in problem
+    function does; `run_sweep(..., against_truth=True)` calls it once on all
+    the sample points.
+    """
+
     name: str
     samples: SampleSet
-    truth: object = None  # evaluator for the clean function, when analytic
+    truth: object = None
 
 
 @dataclass
@@ -208,10 +216,7 @@ def run_sweep(problem, methods, orders, tol=1e-13, iters=5, seed=0, repeats=20,
     """
     target = problem.samples
     if against_truth and problem.truth is not None:
-        target = SampleSet(
-            problem.samples.points,
-            np.array([problem.truth(z) for z in problem.samples.points]),
-        )
+        target = _sample(problem.truth, problem.samples.points)
     records = []
     for method in methods:
         for order in orders:

@@ -5,11 +5,16 @@ descending singular values, minimum-norm least squares, the
 singularity-checked solve every matrix model evaluates with, and (alpha,
 beta) generalized eigenvalue pairs.
 
-Everything here runs on numpy except `gen_eig`, numpy having no QZ: it
-imports scipy.linalg on its first call.  So the AAA family, vector fitting
-and the Loewner fit itself run on numpy alone, and scipy loads only where a
-generalized eigenproblem is solved: RKFIT's pole relocation, the pencil
-linearization (`pencil_eigs`, `nonlinear_eigs_baryC`) and
+Everything here runs on numpy except `gen_eig`, numpy having no QZ.  On its
+first call it loads the one LAPACK routine it needs, `zggev`, from scipy's
+compiled wrapper module `scipy.linalg._flapack`, by file and without running
+`scipy/linalg/__init__.py`: that package import pulls in numpy.ma,
+numpy.testing, numpy.f2py and some 330 modules in all (about 28 MB of RSS
+and a quarter of a second), where the top-level `scipy` and the extension
+load some 20 modules and about 3 MB.  So the AAA family, vector fitting and
+the Loewner fit itself run on numpy alone, and scipy's wrapper loads only
+where a generalized eigenproblem is solved: RKFIT's pole relocation, the
+pencil linearization (`pencil_eigs`, `nonlinear_eigs_baryC`) and
 `loewner.model_poles`.
 
 Three kernels skip work their callers never read, and keep LAPACK's bits:
@@ -30,6 +35,11 @@ Three kernels skip work their callers never read, and keep LAPACK's bits:
   that only count a numerical rank.
 """
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -184,22 +194,57 @@ def solve_checked(S, T):
     return X
 
 
+@functools.cache
+def _zggev():
+    """scipy's f2py wrapper of LAPACK's zggev, loaded without the scipy.linalg package.
+
+    The top-level `scipy` is imported first: it gives the package directory
+    and runs scipy's own start-up (its numpy version check and any
+    distributor's BLAS set-up).  Loading the extension registers it in
+    sys.modules; that entry is dropped again unless it was there before, so a
+    later `import scipy.linalg` loads the module itself and sets it as the
+    package's `_flapack` attribute, sharing the same `zggev`.
+    """
+    import scipy  # here, not at module scope: nothing else needs scipy
+
+    name = "scipy.linalg._flapack"
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(path, "linalg") for path in scipy.__path__]
+    )
+    loaded = name in sys.modules
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not loaded:
+        sys.modules.pop(name, None)
+    return module.zggev
+
+
 def gen_eig(A, B):
     """Generalized eigenvalues of (A, B) as a list of (alpha, beta) pairs.
 
     Each pair encodes the eigenvalue alpha/beta; pairs whose |beta| falls
     below EPS_FINITE * max(||A||, ||B||) represent infinite eigenvalues.
+
+    QZ through LAPACK's zggev, called the way `scipy.linalg.eig(A, B,
+    right=False, homogeneous_eigvals=True)` calls it (a workspace query with
+    the wrapper's defaults, then the eigenvalues alone), so the pairs are
+    that function's, bit for bit.  Its input rules are kept too: a
+    non-finite entry raises `ParameterError` before LAPACK is reached and a
+    0x0 pencil has no eigenvalues.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     B = np.atleast_2d(np.asarray(B, dtype=complex))
-    if A.shape != B.shape or A.shape[0] != A.shape[1]:
+    if A.ndim != 2 or A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise ParameterError(f"need equal square matrices, got {A.shape}, {B.shape}")
-    import scipy.linalg  # here, not at module scope: nothing else needs scipy
-
-    try:
-        alpha, beta = scipy.linalg.eig(A, B, right=False, homogeneous_eigvals=True)
-    except scipy.linalg.LinAlgError as e:
-        raise NumericalError(f"QZ iteration failed for size {A.shape[0]}: {e}") from e
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ParameterError("the pencil has a non-finite entry")
+    if A.size == 0:
+        return []
+    zggev = _zggev()
+    lwork = int(zggev(A, B, lwork=-1)[-2][0].real)
+    alpha, beta, _, _, _, info = zggev(A, B, 0, 0, lwork, 0, 0)
+    if info:
+        raise NumericalError(f"QZ iteration failed for size {A.shape[0]}: zggev info={info}")
     return list(zip(alpha, beta))
 
 

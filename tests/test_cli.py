@@ -3,9 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from blockrat import NoiseSpec, ParameterError, SampleSet, add_noise, rmse
+from blockrat import NoiseSpec, ParameterError, SampleSet, add_noise, cli, rmse
 from blockrat.cli import (
     PROBLEMS,
+    Problem,
     load_samples,
     main,
     problem_buckling,
@@ -94,6 +95,22 @@ def test_sampling_in_one_call_matches_the_point_by_point_loop(name):
     m, n = p.samples.shape
     assert p.truth(pts[0]).shape == (m, n)
     assert p.truth(complex(pts[0])).shape == (m, n)
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_truth_target_is_one_call_equal_to_the_point_by_point_stack(name, monkeypatch):
+    p = PROBLEMS[name]()
+    calls, targets = [], []
+
+    def truth(z):
+        calls.append(np.shape(z))
+        return p.truth(z)
+
+    monkeypatch.setattr(cli, "rmse", lambda target, model: targets.append(target) or 0.0)
+    run_sweep(Problem(p.name, p.samples, truth), ["loewner"], [1], repeats=1, against_truth=True)
+    assert calls == [p.samples.points.shape]
+    loop = np.array([p.truth(z) for z in p.samples.points])
+    assert targets[0].values.tobytes() == loop.tobytes()
 
 
 class TestSampleFiles:

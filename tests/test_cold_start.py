@@ -1,8 +1,12 @@
-"""scipy loads only at the first generalized eigenproblem.
+"""scipy loads only at the first generalized eigenproblem, and then only its LAPACK wrapper.
 
 Importing blockrat, sampling the built-in problems and fitting with the AAA
-family, vector fitting and the Loewner framework run on numpy alone; scipy
-is imported by `kernels.gen_eig`, the QZ step.  They do not load numpy.ma
+family, vector fitting and the Loewner framework run on numpy alone.  The
+first generalized eigenproblem (`kernels.gen_eig`, the QZ step) imports the
+top-level `scipy` and loads the extension module `scipy.linalg._flapack`,
+but not the `scipy.linalg` package, which would import numpy.ma and some
+330 other modules.  A later `import scipy.linalg` still sets its `_flapack`
+attribute and gives the same pairs as `gen_eig`.  numpy.ma is not loaded
 either (np.unique would), and importing `blockrat.cli` does not load
 argparse or csv, which only its `main` and CSV writers use.  A fresh
 interpreter is needed to see this, since the test session itself has all of
@@ -44,6 +48,7 @@ ma_loaded = "numpy.ma" in sys.modules
 
 rkfit_fit(problems["toy1"].samples, RkfitOptions(degree=3, iterations=1))
 linalg_loaded = "scipy.linalg" in sys.modules
+ma_after_eig = "numpy.ma" in sys.modules
 
 import scipy.linalg
 
@@ -52,9 +57,11 @@ A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
 B = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
 alpha, beta = scipy.linalg.eig(A, B, right=False, homogeneous_eigvals=True)
 same_pairs = np.array(gen_eig(A, B)).tobytes() == np.column_stack([alpha, beta]).tobytes()
+flapack_attr = hasattr(scipy.linalg, "_flapack")
 
 print(json.dumps({"statuses": statuses, "scipy_modules": numpy_only, "cli_loaded": cli_loaded, "ma_loaded": ma_loaded,
-                  "linalg_loaded": linalg_loaded, "same_pairs": same_pairs}))
+                  "linalg_loaded": linalg_loaded, "ma_after_eig": ma_after_eig, "flapack_attr": flapack_attr,
+                  "same_pairs": same_pairs}))
 """
 
 
@@ -72,5 +79,10 @@ def test_scipy_loads_only_at_the_first_generalized_eigenproblem():
     assert out["scipy_modules"] == []
     assert not out["ma_loaded"]
     assert out["cli_loaded"] == []
-    assert out["linalg_loaded"]
+    # after the first generalized eigenproblem: neither the scipy.linalg
+    # package nor numpy.ma is loaded, and a later `import scipy.linalg` is as
+    # it would be without blockrat
+    assert not out["linalg_loaded"]
+    assert not out["ma_after_eig"]
+    assert out["flapack_attr"]
     assert out["same_pairs"]

@@ -1,8 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eig
 
+from blockrat import kernels
 from blockrat.core import NumericalError, ParameterError
 from blockrat.kernels import (
     COND_LIMIT,
@@ -378,6 +382,57 @@ class TestGenEig:
         got = np.sort_complex(finite_eigenvalues(A, np.eye(6)))
         want = np.sort_complex(np.linalg.eigvals(A))
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans())
+    def test_pairs_are_scipy_eig_bytes(self, seed, n, singular):
+        # the pairs of scipy.linalg.eig(A, B, right=False,
+        # homogeneous_eigvals=True), bit for bit, with B regular or singular
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if singular:
+            r = int(rng.integers(0, n))
+            B = B[:, :r] @ (rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n)))
+        alpha, beta = eig(A, B, right=False, homogeneous_eigvals=True)
+        pairs = gen_eig(A, B)
+        assert len(pairs) == n
+        assert np.array(pairs).tobytes() == np.column_stack([alpha, beta]).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("in_b", [False, True])
+    def test_nonfinite_entry_raises_before_lapack(self, monkeypatch, bad, in_b):
+        monkeypatch.setattr(kernels, "_zggev", lambda: pytest.fail("LAPACK was reached"))
+        A, B = np.eye(3, dtype=complex), np.eye(3, dtype=complex)
+        (B if in_b else A)[1, 2] = bad
+        with pytest.raises(ParameterError) as info:
+            gen_eig(A, B)
+        assert isinstance(info.value, ValueError)  # what scipy's check_finite raised
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((2, 3), (2, 3)), ((2, 2), (3, 3)), ((2, 2, 2), (2, 2, 2))])
+    def test_non_square_or_unequal_pencil_rejected(self, a_shape, b_shape):
+        with pytest.raises(ParameterError):
+            gen_eig(np.ones(a_shape), np.ones(b_shape))
+
+    def test_loading_leaves_an_imported_scipy_linalg_as_it_was(self):
+        # scipy.linalg is imported in this process (see the imports above)
+        import scipy.linalg
+
+        kernels._zggev.cache_clear()
+        assert kernels._zggev() is scipy.linalg._flapack.zggev
+        assert sys.modules["scipy.linalg._flapack"] is scipy.linalg._flapack
+
+    def test_empty_pencil_has_no_eigenvalues(self):
+        assert gen_eig(np.zeros((0, 0)), np.zeros((0, 0))) == []
+
+    def test_qz_failure_raises_numerical_error_with_size(self, monkeypatch):
+        def failing_zggev(a, b, *args, lwork=None):
+            n = a.shape[0]
+            return np.zeros(n, complex), np.zeros(n, complex), None, None, np.array([2.0 * n]), n
+
+        monkeypatch.setattr(kernels, "_zggev", lambda: failing_zggev)
+        with pytest.raises(NumericalError, match="size 4"):
+            gen_eig(np.eye(4), np.eye(4))
 
 
 class TestCompanionRoots:
