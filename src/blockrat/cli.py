@@ -258,10 +258,20 @@ def write_csv(problem_name, records, path, with_trace=False):
 
 
 def _parse_orders(spec):
-    if ":" in spec:
-        a, b = spec.split(":")
-        return list(range(int(a), int(b) + 1))
-    return [int(spec)]
+    """The orders of `--orders`: one order or an inclusive range a:b, each >= 0.
+
+    Raises ValueError, with a message for the usage line, on anything else.
+    """
+    first, colon, last = spec.partition(":")
+    try:
+        a, b = int(first), int(last if colon else first)
+    except ValueError:
+        raise ValueError(f"--orders: {spec!r} is neither an order nor a range a:b") from None
+    if a < 0:
+        raise ValueError(f"--orders: orders must be >= 0, got {a}")
+    if a > b:
+        raise ValueError(f"--orders: the range {spec!r} is empty")
+    return list(range(a, b + 1))
 
 
 def main(argv=None):
@@ -301,7 +311,10 @@ def main(argv=None):
     for m in methods:
         if m not in METHODS:
             ap.error(f"unknown method {m!r}")
-    orders = _parse_orders(args.orders)
+    try:
+        orders = _parse_orders(args.orders)
+    except ValueError as e:
+        ap.error(str(e))
 
     records = run_sweep(problem, methods, orders, tol=args.tol, iters=args.iters,
                         seed=args.seed, repeats=args.repeats,

@@ -227,9 +227,9 @@ def rmse(samples, model):
             R = np.atleast_2d(np.asarray(model(z), dtype=complex))
             _check_output(R.shape, m, n)
             errs.append(np.linalg.norm(F - R, "fro"))
-    acc = 0.0
-    for e in errs:  # in point order, as np.float64 scalars
-        acc += e ** 2
+    # squares through C pow, as np.float64 ** 2 takes them (np.square and
+    # np.power round some differently), summed one by one in point order
+    acc = np.cumsum(np.float_power(errs, 2))[-1]
     return float(np.sqrt(acc / samples.ell))
 
 

@@ -33,6 +33,19 @@ Three kernels skip work their callers never read, and keep LAPACK's bits:
   rows x cols Q that the economy SVD forms and the caller discards.
 * `singular_values` asks LAPACK for the singular values alone, for callers
   that only count a numerical rank.
+
+The weight SVD of the barycentric forms, `trailing_left_singular_block`,
+runs on one OpenBLAS thread when its matrix has at most
+ONE_THREAD_MAX_ENTRIES (2^18) entries.  Below about that size a second
+thread costs more than it saves: block-AAA's 32 x 970 matrix on `buckling` at
+order 15 takes 9.1 ms on two threads and 3.8 ms on one.  One thread also
+makes block-AAA's and the bary-C refit's weights the same bits at any
+thread count.  The limit goes through `openblas_set_num_threads_local` of
+the OpenBLAS bundled with a numpy wheel; where numpy links another BLAS
+(MKL, Accelerate, a system library) or an OpenBLAS older than 0.3.27, which
+lacks that function, the SVD runs as it is.  Every other kernel keeps the
+process's thread count: RKFIT's least squares and SVDs round differently
+on one thread, and their benchmark reference was recorded on two.
 """
 
 import functools
@@ -40,6 +53,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -52,6 +66,8 @@ EPS_FINITE = 1e-12  # |beta| below this (relative) flags an infinite eigenvalue
 # matrix "inverses" in model evaluation are linear solves; beyond this
 # condition estimate the matrix is declared singular instead of returning garbage
 COND_LIMIT = 1e14
+# a weight SVD of at most this many entries runs on one OpenBLAS thread
+ONE_THREAD_MAX_ENTRIES = 2**18
 
 __all__ = [
     "SvdResult",
@@ -94,18 +110,80 @@ def singular_values(M):
     return _svd(M, False, compute_uv=False)
 
 
+@functools.cache
+def _openblas_thread_setter():
+    """`openblas_set_num_threads_local` of the OpenBLAS numpy's linalg uses, or None.
+
+    A numpy wheel bundles that OpenBLAS (`libscipy_openblas64_*`) in the
+    `numpy.libs` directory beside the package; loading the file again gives
+    the library already in the process.  None where there is no such
+    directory or library, or the library lacks the function (before 0.3.27).
+    """
+    import ctypes  # here, not at module scope, like scipy in `_zggev`; numpy has loaded it
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(name for name in os.listdir(libs) if "openblas" in name)
+    except OSError:
+        return None
+    for name in names:
+        try:
+            setter = ctypes.CDLL(os.path.join(libs, name)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        return setter
+    return None
+
+
+# OpenBLAS's thread count is one per process: this lock keeps two threads
+# from interleaving their limit and restore, which could leave it at one
+_THREAD_COUNT_LOCK = threading.Lock()
+
+
 def trailing_left_singular_block(M, m):
     """The m left singular vectors for the m smallest singular values, as rows.
 
     Returns W of shape (m, rows(M)), scaled to unit Frobenius norm.  Among all
     unit-Frobenius-norm W with orthonormal rows this minimizes ||W @ M||_F.
+
+    A matrix of at most ONE_THREAD_MAX_ENTRIES entries is factored on one
+    OpenBLAS thread, so W has the same bits at any thread count.  Economy
+    SVD of complex matrices on a 2-vCPU x86-64 VM (OpenBLAS 0.3.31, best of
+    3 timeit runs):
+
+        shape      entries   2 threads   1 thread
+        32x970     2^14.9      9.1 ms      3.8 ms
+        64x970     2^15.9     26.2 ms     14.3 ms
+        64x2000    2^17.0     52.6 ms     35.8 ms
+        64x4000    2^18.0     91.3 ms     88.4 ms
+        96x4000    2^18.6    150 ms      123 ms
+        128x4000   2^19.0    209 ms      239 ms
+        64x20000   2^20.3    379 ms      466 ms
+
+    The limit sets OpenBLAS's count to 1 and restores the count it returns,
+    also when the SVD raises; the count is the process's, so a concurrent
+    BLAS call in another thread runs on one thread meanwhile.  Without
+    numpy's bundled OpenBLAS (see `_openblas_thread_setter`) the SVD runs
+    at the process's count.
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.shape[0] % m != 0:
         raise ParameterError(f"block height {m} does not divide {M.shape[0]} rows")
     # only u is used: the economy SVD gives all of it for a wide M, and a tall
     # M needs the full u, whose trailing columns span its left null space
-    u = _svd(M, M.shape[0] > M.shape[1])[0]
+    full = M.shape[0] > M.shape[1]
+    setter = _openblas_thread_setter() if M.size <= ONE_THREAD_MAX_ENTRIES else None
+    if setter is None:
+        u = _svd(M, full)[0]
+    else:
+        with _THREAD_COUNT_LOCK:
+            count = setter(1)
+            try:
+                u = _svd(M, full)[0]
+            finally:
+                setter(count)
     return u[:, -m:].conj().T / np.sqrt(m)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barycentric import _nearest, _sums
-from .core import Evaluator, ParameterError, SampleSet, _distinct
+from .core import Evaluator, NumericalError, ParameterError, SampleSet, _distinct
 from .kernels import lstsq
 
 __all__ = ["PoleResidue", "VfOptions", "vf_scalar", "vf_matrix", "initial_poles"]
@@ -124,7 +124,11 @@ def vf_scalar(points, values, d, opts=VfOptions()):
 
 
 def vf_matrix(samples, d, opts=VfOptions()):
-    """Matrix fitting with a common denominator over all m*n entries."""
+    """Matrix fitting with a common denominator over all m*n entries.
+
+    Raises NumericalError when a final pole lies on a sample point, where the
+    model could not be evaluated.
+    """
     if samples.ell < 2 * d + 1:
         raise ParameterError(f"need at least {2 * d + 1} samples for degree {d}")
     points, values = samples.points, samples.values
@@ -157,4 +161,7 @@ def vf_matrix(samples, d, opts=VfOptions()):
         if opts.enforce_stability:
             poles = _dedupe(np.where(poles.real > 0, -np.conj(poles), poles))  # reflect unstable poles
 
+    # the window in which PoleResidue reports a point as a pole
+    if _nearest(poles, points)[0].any():
+        raise NumericalError("a VF pole lies on a sample point")
     return _fit_residues(points, values, poles)

@@ -282,6 +282,22 @@ class TestMain:
         assert exc.value.code == 2
         assert "unknown method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("orders, method, message", [
+        ("x", "loewner", "neither an order nor a range"),
+        ("1:2:3", "loewner", "neither an order nor a range"),
+        ("3:1", "loewner", "is empty"),
+        ("-1", "vf", "must be >= 0"),
+        ("-1", "rkfit", "must be >= 0"),
+        ("-1", "loewner", "must be >= 0"),
+    ])
+    def test_bad_orders_are_a_usage_error(self, capsys, orders, method, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "toy1", "--method", method, "--orders", orders, "--repeats", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "--orders" in captured.err
+        assert captured.out == ""
+
     def test_stdout_and_file_share_csv_format(self, tmp_path, capsys):
         args = ["--problem", "toy1", "--method", "loewner", "--orders", "1:2", "--repeats", "1"]
         out = tmp_path / "run.csv"

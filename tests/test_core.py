@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockrat import (
     ContractError,
     NoiseSpec,
     ParameterError,
+    PoleResidue,
     SampleSet,
     aaa_scalar,
     add_noise,
@@ -21,6 +22,10 @@ TIES = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0,
               complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.nan, np.nan), complex(np.nan, 1.0),
               complex(np.inf, 0.0), complex(-np.inf, 0.0), complex(0.0, np.inf), complex(np.inf, np.nan),
               complex(1.0, 0.0), complex(1.0, -0.0), 1j, complex(-0.0, 1.0), complex(1.0, 1.0)]
+
+# errors whose square np.float64 ** 2 (C pow) rounds apart from x * x and
+# np.square: 10 of these 20,000 normals
+POW_NOT_MUL = [float(x) for x in np.abs(np.random.default_rng(0).normal(size=20_000)) if x**2 != x * x]
 
 
 def _unique_says_repeated(x):
@@ -170,6 +175,22 @@ class TestRmse:
         assert rmse(s, lambda z: np.eye(2)) == pytest.approx(
             rmse(s.subset(perm), lambda z: np.eye(2)), rel=1e-14
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(POW_NOT_MUL), st.floats(0, 1e150)), min_size=1, max_size=100),
+           st.booleans())
+    def test_sum_is_the_point_order_loop(self, errors, evaluator):
+        """The bits of squaring each point's error as np.float64 ** 2 and adding them in point order."""
+        ell = len(errors)
+        vals = np.array(errors, dtype=complex).reshape(ell, 1, 1)
+        s = SampleSet(logspace_imaginary(1, 10, ell + 1)[:ell], vals)
+        zero = PoleResidue(np.zeros((1, 1)), [], np.zeros((0, 1, 1)))
+        acc = 0.0
+        for F in vals:
+            acc += np.linalg.norm(F, "fro") ** 2
+        want = float(np.sqrt(acc / ell))
+        got = rmse(s, zero if evaluator else (lambda z: np.zeros((1, 1))))
+        assert got.hex() == want.hex()
 
     def test_shape_mismatch_raises(self):
         s = SampleSet([1j], np.zeros((1, 2, 2)))

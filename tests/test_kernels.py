@@ -1,4 +1,9 @@
+import os
+import subprocess
 import sys
+import threading
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eig
 
+import blockrat
 from blockrat import kernels
 from blockrat.core import NumericalError, ParameterError
 from blockrat.kernels import (
     COND_LIMIT,
+    ONE_THREAD_MAX_ENTRIES,
     _surely_well_conditioned,
     finite_eigenvalues,
     gen_eig,
@@ -120,6 +127,147 @@ class TestTrailingLeftSingularBlock:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ParameterError):
             trailing_left_singular_block(np.zeros((0, 3)), 1)
+
+
+# block-AAA on buckling at order 15, then the bary-C refit on its support
+# points, in a fresh interpreter: the weight bytes, as hex digests
+THREAD_SCRIPT = r"""
+import hashlib
+
+import numpy as np
+
+from blockrat import AaaOptions, block_aaa
+from blockrat.barycentric import solve_weights_baryC
+from blockrat.cli import problem_buckling
+
+samples = problem_buckling().samples
+model = block_aaa(samples, AaaOptions(tol=1e-13, max_order=15)).model
+rest = np.flatnonzero(~np.isin(samples.points, model.nodes))
+refit = solve_weights_baryC(samples.subset(rest), model.nodes)
+for w in (model.weights, refit.numer, refit.denom):
+    print(hashlib.sha256(w.tobytes()).hexdigest())
+"""
+
+
+def _weight_digests(threads):
+    src = str(Path(blockrat.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(threads))
+    done = subprocess.run([sys.executable, "-c", THREAD_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def _setter_or_skip():
+    setter = kernels._openblas_thread_setter()
+    if setter is None:
+        pytest.skip("numpy's linalg has no bundled OpenBLAS with openblas_set_num_threads_local")
+    return setter
+
+
+def _openblas_count(setter):
+    count = setter(1)
+    setter(count)
+    return count
+
+
+class TestOneThreadWeightSvd:
+    """The weight SVD runs on one OpenBLAS thread up to ONE_THREAD_MAX_ENTRIES entries."""
+
+    def test_block_aaa_and_baryC_weights_do_not_depend_on_the_thread_count(self):
+        assert _weight_digests(1) == _weight_digests(2)
+
+    @pytest.mark.parametrize("limited", [False, True])
+    def test_thread_count_is_restored(self, limited):
+        # also when the process's count was lowered to one before the call
+        setter = _setter_or_skip()
+        before = setter(1) if limited else _openblas_count(setter)
+        try:
+            M = np.random.default_rng(0).normal(size=(32, 970)) + 0j
+            trailing_left_singular_block(M, 2)
+            assert _openblas_count(setter) == (1 if limited else before)
+        finally:
+            setter(before)
+
+    def test_thread_count_is_restored_when_the_svd_raises(self, monkeypatch):
+        setter = _setter_or_skip()
+        before = _openblas_count(setter)
+
+        def failing_svd(*args):
+            raise NumericalError("SVD did not converge")
+
+        monkeypatch.setattr(kernels, "_svd", failing_svd)
+        with pytest.raises(NumericalError):
+            trailing_left_singular_block(np.ones((4, 6)), 2)
+        assert _openblas_count(setter) == before
+
+    def test_without_the_library_the_svd_runs_as_it_is(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_openblas_thread_setter", lambda: None)
+        M = np.random.default_rng(1).normal(size=(32, 970)) + 1j * np.random.default_rng(2).normal(size=(32, 970))
+        want = np.linalg.svd(M, full_matrices=False)[0][:, -2:].conj().T / np.sqrt(2)
+        assert trailing_left_singular_block(M, 2).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("listdir, cdll", [
+        (FileNotFoundError, None),  # no numpy.libs directory: not a wheel
+        ([], None),  # no bundled library
+        (["libgfortran.so.5"], None),  # none of them OpenBLAS
+        (["libscipy_openblas_missing.so"], None),  # dlopen fails: OSError
+        (["libscipy_openblas_old.so"], lambda path: types.SimpleNamespace()),  # no such function
+    ])
+    def test_loader_finds_nothing(self, monkeypatch, listdir, cdll):
+        import ctypes
+
+        def fake_listdir(path):
+            if isinstance(listdir, type):
+                raise listdir(path)
+            return listdir
+
+        monkeypatch.setattr(kernels.os, "listdir", fake_listdir)
+        if cdll is not None:
+            monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert kernels._openblas_thread_setter.__wrapped__() is None
+
+    @pytest.mark.parametrize("cols, calls", [(ONE_THREAD_MAX_ENTRIES // 2, [1, 7]),
+                                             (ONE_THREAD_MAX_ENTRIES // 2 + 1, [])])
+    def test_limit_only_up_to_the_size_constant(self, monkeypatch, cols, calls):
+        seen = []
+
+        def spy(k):
+            seen.append(k)
+            return 7
+
+        monkeypatch.setattr(kernels, "_openblas_thread_setter", lambda: spy)
+        M = np.random.default_rng(3).normal(size=(2, cols)) + 0j
+        trailing_left_singular_block(M, 1)
+        assert seen == calls
+
+    def test_concurrent_calls_leave_the_thread_count(self):
+        # the count is the process's: two threads interleaving their limit and
+        # restore without the lock can leave it at one
+        setter = _setter_or_skip()
+        before = _openblas_count(setter)
+        M = np.random.default_rng(4).normal(size=(16, 100)) + 0j
+        want = trailing_left_singular_block(M, 2).tobytes()
+        got = []
+
+        def work():
+            for _ in range(50):
+                got.append(trailing_left_singular_block(M, 2).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert got == [want] * 200
+        assert _openblas_count(setter) == before
 
 
 class TestTrailingRightSingularVector:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from blockrat import (
     EvaluationError,
     NoiseSpec,
+    NumericalError,
     ParameterError,
     PoleResidue,
     SampleSet,
@@ -112,6 +113,13 @@ class TestVfMatrix:
     def test_stability_enforcement(self, toy1):
         r = vf_matrix(toy1.samples, 6, VfOptions(iterations=5, enforce_stability=True))
         assert np.all(r.poles.real <= 0)
+
+    def test_pole_on_a_sample_point_raises_at_fit_time(self):
+        # the odd start pole -sqrt(lo hi) = -1 is the sample point -1 of the
+        # roots of unity, and VF keeps it; rmse would fail on it later
+        z = np.exp(2j * np.pi * np.arange(20) / 20)
+        with pytest.warns(UserWarning, match="rank-deficient"), pytest.raises(NumericalError, match="sample point"):
+            vf_scalar(z, 1 / (z - 0.3 - 2j) + 2 / (z + 1.5), 1)
 
     def test_coinciding_start_poles_nudged_apart(self, toy1):
         given = np.array([-1, -1, -2 + 1j, -2 - 1j], dtype=complex)
