@@ -63,15 +63,22 @@ def _sums(c, A):
     return (c[:, None, :] @ A.reshape(A.shape[0], -1)).reshape(c.shape[:1] + A.shape[1:])
 
 
+def _at_nodes(model, zs, values_at):
+    """(R, off): values_at(k) at the points on a node z_k and NaN elsewhere, and
+    the mask of the points off every node, where the quotient is to be formed."""
+    on, off, k = _nearest(model.nodes, zs)
+    R = np.full(zs.shape + model.shape, np.nan, dtype=complex)
+    R[on] = values_at(k[on])
+    return R, off
+
+
 def _scalar_weight_quotient(model, zs, numer):
     """sum_k c_k F_k / sum_k c_k with c_k = w_k/(z - z_k), and F_k itself at z_k.
 
     `numer(c)` forms the numerator sums of the rows of c.  NaN where the
     denominator sum vanishes.
     """
-    on, off, k = _nearest(model.nodes, zs)
-    R = np.full(zs.shape + model.shape, np.nan, dtype=complex)
-    R[on] = model.values[k[on]]
+    R, off = _at_nodes(model, zs, lambda k: model.values[k])
     off = np.flatnonzero(off)
     c = model.weights / (zs[off, None] - model.nodes)
     den = np.sum(c, axis=1)
@@ -85,16 +92,21 @@ def _matrix_weight_quotient(model, zs, at_nodes, D, N):
 
     NaN at a NaN point and where the denominator sum is numerically singular.
     """
-    on, off, k = _nearest(model.nodes, zs)
-    R = np.full(zs.shape + model.shape, np.nan, dtype=complex)
-    R[on] = at_nodes(k[on])
+    R, off = _at_nodes(model, zs, at_nodes)
     c = 1.0 / (zs[off, None] - model.nodes)
     R[off] = solve_checked(_sums(c, D), _sums(c, N))
     return R
 
 
 class _Barycentric(Evaluator):
-    """The barycentric forms: order from the support points, shape from the values (() if scalar)."""
+    """The barycentric forms: order from the support points, shape from the values (() if scalar).
+
+    The support points are checked and stored here, before a form checks
+    its own weights and values against them.
+    """
+
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", _distinct(self.nodes, "support points"))
 
     @property
     def order(self):
@@ -105,26 +117,34 @@ class _Barycentric(Evaluator):
         return self.values.shape[1:]
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarBarycentric(_Barycentric):
-    """r(z) = sum_k w_k f_k / (z - z_k)  /  sum_k w_k / (z - z_k)."""
+class _ScalarWeights(_Barycentric):
+    """The forms with one scalar weight per support point, not all zero."""
 
     _undefined = "barycentric denominator vanishes at z = {z}"
+
+    def __post_init__(self):
+        super().__post_init__()
+        w = np.asarray(self.weights, dtype=complex).ravel()
+        if w.size != self.nodes.size:
+            raise ParameterError("need one weight per node")
+        if not np.any(w != 0):
+            raise ParameterError("at least one barycentric weight must be nonzero")
+        object.__setattr__(self, "weights", w)
+
+
+@dataclass(frozen=True, eq=False)
+class ScalarBarycentric(_ScalarWeights):
+    """r(z) = sum_k w_k f_k / (z - z_k)  /  sum_k w_k / (z - z_k)."""
 
     nodes: np.ndarray
     weights: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        nodes = _distinct(self.nodes, "support points")
-        w = np.asarray(self.weights, dtype=complex).ravel()
+        super().__post_init__()
         f = np.asarray(self.values, dtype=complex).ravel()
-        if not (nodes.size == w.size == f.size):
-            raise ParameterError("nodes, weights, values must have equal length")
-        if not np.any(w != 0):
-            raise ParameterError("at least one barycentric weight must be nonzero")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", w)
+        if f.size != self.nodes.size:
+            raise ParameterError("need one value per node")
         object.__setattr__(self, "values", f)
 
     def __call__(self, z):
@@ -136,25 +156,18 @@ class ScalarBarycentric(_Barycentric):
 
 
 @dataclass(frozen=True, eq=False)
-class BlockBaryA(_Barycentric):
+class BlockBaryA(_ScalarWeights):
     """Scalar-weight barycentric form with matrix values F_k."""
-
-    _undefined = "barycentric denominator vanishes at z = {z}"
 
     nodes: np.ndarray
     weights: np.ndarray
     values: np.ndarray  # (d+1, m, n)
 
     def __post_init__(self):
-        nodes = _distinct(self.nodes, "support points")
-        w = np.asarray(self.weights, dtype=complex).ravel()
+        super().__post_init__()
         F = np.asarray(self.values, dtype=complex)
-        if F.ndim != 3 or F.shape[0] != nodes.size or w.size != nodes.size:
-            raise ParameterError("need one weight and one m-by-n value per node")
-        if not np.any(w != 0):
-            raise ParameterError("at least one barycentric weight must be nonzero")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", w)
+        if F.ndim != 3 or F.shape[0] != self.nodes.size:
+            raise ParameterError("need one m-by-n value per node")
         object.__setattr__(self, "values", F)
 
     def __call__(self, z):
@@ -178,12 +191,12 @@ class BlockBaryB(_Barycentric):
     _undefined = "numerically singular matrix at z = {z}"
 
     def __post_init__(self):
-        nodes = _distinct(self.nodes, "support points")
+        super().__post_init__()
         W = np.asarray(self.weights, dtype=complex)
         F = np.asarray(self.values, dtype=complex)
-        if W.ndim != 3 or W.shape[1] != W.shape[2] or W.shape[0] != nodes.size:
+        if W.ndim != 3 or W.shape[1] != W.shape[2] or W.shape[0] != self.nodes.size:
             raise ParameterError("need one square weight matrix per node")
-        if F.ndim != 3 or F.shape[0] != nodes.size or F.shape[1] != W.shape[1]:
+        if F.ndim != 3 or F.shape[0] != self.nodes.size or F.shape[1] != W.shape[1]:
             raise ParameterError("value matrices inconsistent with weights")
         # norm and einsum sum in memory order: read every stack as column-major
         # blocks, the layout solve_weights_baryB returns (for it, a view)
@@ -191,7 +204,6 @@ class BlockBaryB(_Barycentric):
         total = np.linalg.norm(W)
         if total == 0:
             raise ParameterError("weight stack must be nonzero")
-        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", W / total)
         object.__setattr__(self, "values", F)
         object.__setattr__(self, "weighted", np.einsum("kij,kjl->kil", self.weights, F))
@@ -216,17 +228,16 @@ class BlockBaryC(_Barycentric):
     _undefined = "numerically singular matrix at z = {z}"
 
     def __post_init__(self):
-        nodes = _distinct(self.nodes, "support points")
+        super().__post_init__()
         C = np.asarray(self.numer, dtype=complex)
         D = np.asarray(self.denom, dtype=complex)
-        if D.ndim != 3 or D.shape[1] != D.shape[2] or D.shape[0] != nodes.size:
+        if D.ndim != 3 or D.shape[1] != D.shape[2] or D.shape[0] != self.nodes.size:
             raise ParameterError("need one square denominator matrix per node")
-        if C.ndim != 3 or C.shape[0] != nodes.size or C.shape[1] != D.shape[1]:
+        if C.ndim != 3 or C.shape[0] != self.nodes.size or C.shape[1] != D.shape[1]:
             raise ParameterError("numerator matrices inconsistent with denominators")
         total = np.sqrt(np.linalg.norm(C) ** 2 + np.linalg.norm(D) ** 2)
         if total == 0:
             raise ParameterError("coefficient stack must be nonzero")
-        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "numer", C / total)
         object.__setattr__(self, "denom", D / total)
 

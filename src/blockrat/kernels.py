@@ -17,35 +17,10 @@ where a generalized eigenproblem is solved: RKFIT's pole relocation, the
 pencil linearization (`pencil_eigs`, `nonlinear_eigs_baryC`) and
 `loewner.model_poles`.
 
-Three kernels skip work their callers never read, and keep LAPACK's bits:
-
-* `solve_checked` decides singularity by `np.linalg.cond`, a full SVD per
-  block.  Each block first goes through a screen that proves
-  cond_2(S) <= COND_LIMIT / 100, and only the blocks it cannot clear reach
-  `np.linalg.cond`.  A 2x2 block is screened in closed form,
-  cond_2(S) <= ||S||_F^2 / |det S| (equal to c + 1/c); a k x k block by one
-  batched inverse Y, cond_2(S) <= ||S||_F ||Y||_F / (1 - ||I - S Y||_F).
-  Blocks with a non-finite entry are NaN, and reach neither
-  `np.linalg.cond` nor the solve.
-* `trailing_right_singular_vector` of a tall A takes the SVD of A's R
-  factor.  From floor(17 cols / 9) rows on (LAPACK's MNTHR1), zgesdd factors
-  A = QR itself and bidiagonalizes R; asking numpy for R alone skips the
-  rows x cols Q that the economy SVD forms and the caller discards.
-* `singular_values` asks LAPACK for the singular values alone, for callers
-  that only count a numerical rank.
-
-The weight SVD of the barycentric forms, `trailing_left_singular_block`,
-runs on one OpenBLAS thread when its matrix has at most
-ONE_THREAD_MAX_ENTRIES (2^18) entries.  Below about that size a second
-thread costs more than it saves: block-AAA's 32 x 970 matrix on `buckling` at
-order 15 takes 9.1 ms on two threads and 3.8 ms on one.  One thread also
-makes block-AAA's and the bary-C refit's weights the same bits at any
-thread count.  The limit goes through `openblas_set_num_threads_local` of
-the OpenBLAS bundled with a numpy wheel; where numpy links another BLAS
-(MKL, Accelerate, a system library) or an OpenBLAS older than 0.3.27, which
-lacks that function, the SVD runs as it is.  Every other kernel keeps the
-process's thread count: RKFIT's least squares and SVDs round differently
-on one thread, and their benchmark reference was recorded on two.
+`solve_checked`, `trailing_right_singular_vector` and `singular_values`
+skip work their callers never read, and keep LAPACK's bits; the weight SVD
+`trailing_left_singular_block` runs on one OpenBLAS thread.  Each function
+states its rule and the reason for it.
 """
 
 import functools
@@ -66,8 +41,6 @@ EPS_FINITE = 1e-12  # |beta| below this (relative) flags an infinite eigenvalue
 # matrix "inverses" in model evaluation are linear solves; beyond this
 # condition estimate the matrix is declared singular instead of returning garbage
 COND_LIMIT = 1e14
-# a weight SVD of at most this many entries runs on one OpenBLAS thread
-ONE_THREAD_MAX_ENTRIES = 2**18
 
 __all__ = [
     "SvdResult",
@@ -106,7 +79,8 @@ def svd_full(M):
 
 
 def singular_values(M):
-    """The singular values of M, descending, without forming U or V."""
+    """The singular values of M, descending, without forming U or V, for callers
+    that only count a numerical rank."""
     return _svd(M, False, compute_uv=False)
 
 
@@ -148,25 +122,21 @@ def trailing_left_singular_block(M, m):
     Returns W of shape (m, rows(M)), scaled to unit Frobenius norm.  Among all
     unit-Frobenius-norm W with orthonormal rows this minimizes ||W @ M||_F.
 
-    A matrix of at most ONE_THREAD_MAX_ENTRIES entries is factored on one
-    OpenBLAS thread, so W has the same bits at any thread count.  Economy
-    SVD of complex matrices on a 2-vCPU x86-64 VM (OpenBLAS 0.3.31, best of
-    3 timeit runs):
+    M is factored on one OpenBLAS thread, so W has the same bits at any
+    thread count, and block-AAA's and the bary-C refit's weights with it.
+    At the sizes they reach, a second thread also costs more than it saves:
+    block-AAA's 32 x 970 matrix on `buckling` at order 15 takes 9.1 ms on
+    two threads and 3.8 ms on one.  Every other kernel keeps the process's
+    count: RKFIT's least squares and SVDs round differently on one thread,
+    and their benchmark reference was recorded on two.
 
-        shape      entries   2 threads   1 thread
-        32x970     2^14.9      9.1 ms      3.8 ms
-        64x970     2^15.9     26.2 ms     14.3 ms
-        64x2000    2^17.0     52.6 ms     35.8 ms
-        64x4000    2^18.0     91.3 ms     88.4 ms
-        96x4000    2^18.6    150 ms      123 ms
-        128x4000   2^19.0    209 ms      239 ms
-        64x20000   2^20.3    379 ms      466 ms
-
-    The limit sets OpenBLAS's count to 1 and restores the count it returns,
-    also when the SVD raises; the count is the process's, so a concurrent
-    BLAS call in another thread runs on one thread meanwhile.  Without
-    numpy's bundled OpenBLAS (see `_openblas_thread_setter`) the SVD runs
-    at the process's count.
+    The limit goes through `openblas_set_num_threads_local` (see
+    `_openblas_thread_setter`), which sets OpenBLAS's count to 1 and returns
+    the old count; that count is restored, also when the SVD raises.  It is
+    the process's count, so a concurrent BLAS call in another thread runs on
+    one thread meanwhile.  Where numpy links another BLAS (MKL, Accelerate,
+    a system library) or an OpenBLAS older than 0.3.27, the SVD runs at the
+    process's count.
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.shape[0] % m != 0:
@@ -174,7 +144,7 @@ def trailing_left_singular_block(M, m):
     # only u is used: the economy SVD gives all of it for a wide M, and a tall
     # M needs the full u, whose trailing columns span its left null space
     full = M.shape[0] > M.shape[1]
-    setter = _openblas_thread_setter() if M.size <= ONE_THREAD_MAX_ENTRIES else None
+    setter = _openblas_thread_setter()
     if setter is None:
         u = _svd(M, full)[0]
     else:
@@ -190,12 +160,16 @@ def trailing_left_singular_block(M, m):
 def trailing_right_singular_vector(A):
     """The unit vector c minimizing ||A @ c||_2: the last right singular vector.
 
-    For a wide A (rows < cols) this is a null vector, from the full V.
+    For a wide A (rows < cols) this is a null vector, from the full V.  A
+    tall A from floor(17 cols / 9) rows on (LAPACK's MNTHR1) is replaced by
+    its R factor: zgesdd factors A = QR itself there and bidiagonalizes R,
+    so the bits are the same, and the rows x cols Q that the economy SVD
+    forms and this discards is never built.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     rows, cols = A.shape
     if rows >= 17 * cols // 9:
-        A = np.linalg.qr(A, mode="r")  # zgesdd's own R: same bits, no Q
+        A = np.linalg.qr(A, mode="r")
     return _svd(A, rows < cols)[2][-1].conj()
 
 
@@ -262,7 +236,9 @@ def solve_checked(S, T):
 
     Where S_i is numerically singular (condition number above COND_LIMIT) or
     not finite, the block is NaN instead: a model evaluated there is not
-    evaluable.
+    evaluable.  `np.linalg.cond` is a full SVD per block, so it sees only
+    the finite blocks that `_surely_well_conditioned` cannot clear; a block
+    with a non-finite entry reaches neither it nor the solve.
     """
     X = np.full(T.shape, np.nan, dtype=complex)
     ok = np.isfinite(S).all(axis=(1, 2))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycentric import _nearest
 from .core import FitResult, NumericalError, ParameterError, _distinct
 from .kernels import lstsq, trailing_right_singular_vector
 from .linearize import bary_poly_weights, build_pencil, pencil_eigs
@@ -176,9 +175,6 @@ def rkfit_fit(samples, opts):
         if poles.size == 0:
             poly = basis
         poles = relocate_poles(basis, fs, poly)
-        # the window in which PoleResidue reports a point as a pole
-        if poles.size and _nearest(poles, samples.points)[0].any():
-            raise NumericalError("a relocated pole lies on a sample point")
         model = _fit_residues(samples.points, samples.values, poles)
         trace.append(rmse(samples, model))
     return FitResult(model, trace)

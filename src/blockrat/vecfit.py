@@ -63,8 +63,13 @@ def _fit_residues(points, values, poles):
     """Least-squares constant and residues of a PoleResidue with fixed poles.
 
     `values` has shape (ell, m, n); every entry is fitted in the partial-
-    fraction basis [1, 1/(z - xi_1), ..., 1/(z - xi_d)] of `poles`.
+    fraction basis [1, 1/(z - xi_1), ..., 1/(z - xi_d)] of `poles`.  Raises
+    NumericalError when a pole lies on a sample point, in the window in
+    which PoleResidue reports a point as a pole: the model could not be
+    evaluated there.
     """
+    if poles.size and _nearest(poles, points)[0].any():
+        raise NumericalError("a relocated pole lies on a sample point")
     ell, m, n = values.shape
     X = lstsq(np.column_stack([np.ones(ell), _cauchy(points, poles)]), values.reshape(ell, m * n))
     return PoleResidue(X[0].reshape(m, n), poles, X[1:].reshape(poles.size, m, n))
@@ -160,8 +165,4 @@ def vf_matrix(samples, d, opts=VfOptions()):
         poles = _dedupe(_denominator_zeros(poles, sol[ne * (d + 1) :]))
         if opts.enforce_stability:
             poles = _dedupe(np.where(poles.real > 0, -np.conj(poles), poles))  # reflect unstable poles
-
-    # the window in which PoleResidue reports a point as a pole
-    if _nearest(poles, points)[0].any():
-        raise NumericalError("a VF pole lies on a sample point")
     return _fit_residues(points, values, poles)

@@ -181,13 +181,19 @@ class TestSampleFiles:
         assert loaded.values.flags.c_contiguous
 
 
+def _rows_of(path, reader=csv.DictReader):
+    """The rows of a CSV file, read in a `with` block that closes it."""
+    with path.open() as fh:
+        return list(reader(fh))
+
+
 class TestRunSweep:
     def test_empty_methods(self, toy1, tmp_path):
         records = run_sweep(toy1, [], [1, 2])
         assert records == []
         out = tmp_path / "empty.csv"
         write_csv("toy1", records, out)
-        rows = list(csv.reader(out.open()))
+        rows = _rows_of(out, csv.reader)
         assert rows == [["problem", "method", "order", "rmse", "time_ms", "status"]]
 
     def test_incompatible_method_recorded_not_raised(self, toy1):
@@ -214,7 +220,7 @@ class TestMain:
             "--repeats", "1", "--out", str(out),
         ])
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = _rows_of(out)
         assert len(rows) == 1
         assert rows[0]["method"] == "block-aaa"
         assert float(rows[0]["rmse"]) <= 1e-10
@@ -235,7 +241,7 @@ class TestMain:
             "--iters", "3", "--repeats", "1", "--out", str(out), "--trace",
         ])
         assert code == 0
-        trace_rows = list(csv.DictReader((tmp_path / "tr.csv.trace.csv").open()))
+        trace_rows = _rows_of(tmp_path / "tr.csv.trace.csv")
         assert len(trace_rows) == 3
 
     def test_trace_without_out_rejected(self, capsys):
@@ -248,7 +254,7 @@ class TestMain:
     def _rows(self, tmp_path, *args):
         out = tmp_path / "cell.csv"
         code = main([*args, "--repeats", "1", "--out", str(out)])
-        return code, list(csv.DictReader(out.open()))
+        return code, _rows_of(out)
 
     def test_against_truth_scores_the_clean_function(self, tmp_path):
         # RKFIT filters the noise: closer to the clean truth than to the samples
@@ -322,5 +328,5 @@ class TestMain:
             "--repeats", "1", "--out", str(out),
         ])
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = _rows_of(out)
         assert [int(r["order"]) for r in rows] == [7, 8]

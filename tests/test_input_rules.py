@@ -54,3 +54,20 @@ def test_scalar_length_mismatch_is_a_parameter_error(fit):
 def test_duplicate_points_message(call, what):
     with pytest.raises(ParameterError, match=f"^{what} must be pairwise distinct$"):
         call()
+
+
+PTS = np.array([1j, 2j, 3j])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ScalarBarycentric(PTS, np.ones(2), np.ones(3)), "^need one weight per node$"),
+    (lambda: BlockBaryA(PTS, np.ones(2), ONES), "^need one weight per node$"),
+    (lambda: ScalarBarycentric(PTS, np.zeros(3), np.ones(3)), "^at least one barycentric weight must be nonzero$"),
+    (lambda: BlockBaryA(PTS, np.zeros(3), ONES), "^at least one barycentric weight must be nonzero$"),
+    (lambda: ScalarBarycentric(PTS, np.ones(3), np.ones(2)), "^need one value per node$"),
+    (lambda: BlockBaryA(PTS, np.ones(3), ONES[:2]), "^need one m-by-n value per node$"),
+], ids=["ScalarBarycentric-weights", "BlockBaryA-weights", "ScalarBarycentric-zero", "BlockBaryA-zero",
+        "ScalarBarycentric-values", "BlockBaryA-values"])
+def test_scalar_weight_forms_check_weights_and_values(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()

@@ -16,7 +16,6 @@ from blockrat import kernels
 from blockrat.core import NumericalError, ParameterError
 from blockrat.kernels import (
     COND_LIMIT,
-    ONE_THREAD_MAX_ENTRIES,
     _surely_well_conditioned,
     finite_eigenvalues,
     gen_eig,
@@ -149,11 +148,25 @@ for w in (model.weights, refit.numer, refit.denom):
 """
 
 
-def _weight_digests(threads):
+# a weight SVD of 2^19 entries, in a fresh interpreter: its bytes, as a hex digest
+LARGE_SVD_SCRIPT = r"""
+import hashlib
+
+import numpy as np
+
+from blockrat.kernels import trailing_left_singular_block
+
+rng = np.random.default_rng(5)
+M = rng.normal(size=(128, 4096)) + 1j * rng.normal(size=(128, 4096))
+print(hashlib.sha256(trailing_left_singular_block(M, 4).tobytes()).hexdigest())
+"""
+
+
+def _weight_digests(threads, script=THREAD_SCRIPT):
     src = str(Path(blockrat.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(threads))
-    done = subprocess.run([sys.executable, "-c", THREAD_SCRIPT], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
@@ -173,10 +186,15 @@ def _openblas_count(setter):
 
 
 class TestOneThreadWeightSvd:
-    """The weight SVD runs on one OpenBLAS thread up to ONE_THREAD_MAX_ENTRIES entries."""
+    """The weight SVD runs on one OpenBLAS thread at every matrix size."""
 
     def test_block_aaa_and_baryC_weights_do_not_depend_on_the_thread_count(self):
         assert _weight_digests(1) == _weight_digests(2)
+
+    def test_weight_svd_above_2_18_entries_does_not_depend_on_the_thread_count(self):
+        # 128 x 4096 complex entries, 2^19: larger than any weight SVD of a
+        # built-in problem, and where a second thread would round differently
+        assert _weight_digests(1, LARGE_SVD_SCRIPT) == _weight_digests(2, LARGE_SVD_SCRIPT)
 
     @pytest.mark.parametrize("limited", [False, True])
     def test_thread_count_is_restored(self, limited):
@@ -228,9 +246,9 @@ class TestOneThreadWeightSvd:
             monkeypatch.setattr(ctypes, "CDLL", cdll)
         assert kernels._openblas_thread_setter.__wrapped__() is None
 
-    @pytest.mark.parametrize("cols, calls", [(ONE_THREAD_MAX_ENTRIES // 2, [1, 7]),
-                                             (ONE_THREAD_MAX_ENTRIES // 2 + 1, [])])
-    def test_limit_only_up_to_the_size_constant(self, monkeypatch, cols, calls):
+    # 2^18 entries and two more: no size escapes the limit
+    @pytest.mark.parametrize("cols", [2**17, 2**17 + 1])
+    def test_limit_at_every_size(self, monkeypatch, cols):
         seen = []
 
         def spy(k):
@@ -240,7 +258,7 @@ class TestOneThreadWeightSvd:
         monkeypatch.setattr(kernels, "_openblas_thread_setter", lambda: spy)
         M = np.random.default_rng(3).normal(size=(2, cols)) + 0j
         trailing_left_singular_block(M, 1)
-        assert seen == calls
+        assert seen == [1, 7]
 
     def test_concurrent_calls_leave_the_thread_count(self):
         # the count is the process's: two threads interleaving their limit and

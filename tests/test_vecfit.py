@@ -17,7 +17,7 @@ from blockrat import (
     vf_matrix,
     vf_scalar,
 )
-from blockrat.vecfit import _dedupe, initial_poles
+from blockrat.vecfit import _dedupe, _fit_residues, initial_poles
 from tests.oracles import dedupe_loop
 
 
@@ -126,6 +126,27 @@ class TestVfMatrix:
         r = vf_matrix(toy1.samples, 4, VfOptions(iterations=1, initial_poles=given))
         assert np.unique(r.poles).size == 4
         assert np.array_equal(given, [-1, -1, -2 + 1j, -2 - 1j])
+
+
+class TestFitResidues:
+    """The final least-squares fit of VF and RKFIT, with the poles fixed."""
+
+    def test_pole_in_the_window_of_a_sample_point_raises(self):
+        z = logspace_imaginary(1, 10, 8)
+        # off the point by 4 ulps of it: inside the window in which
+        # PoleResidue reports the point as a pole, so the model is not evaluable
+        poles = np.array([-1.0, z[3] * (1 + 4 * np.finfo(float).eps)])
+        with pytest.raises(NumericalError, match="sample point"):
+            _fit_residues(z, np.ones((8, 1, 1), dtype=complex), poles)
+
+    def test_no_poles_gives_the_constant_model(self):
+        # RKFIT at degree 0 fits with an empty pole set
+        z = logspace_imaginary(1, 10, 8)
+        values = np.arange(8 * 2 * 3).reshape(8, 2, 3) + 0j
+        r = _fit_residues(z, values, np.array([], dtype=complex))
+        assert r.poles.size == 0 and r.residues.shape == (0, 2, 3)
+        assert np.allclose(r.const, values.mean(axis=0), rtol=1e-13)
+        assert np.array_equal(r(z[:2]), np.stack([r.const] * 2))
 
 
 class TestInitialPoles:
