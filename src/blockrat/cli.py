@@ -176,18 +176,20 @@ def load_samples(path):
     return SampleSet(points, values)
 
 
-def _aaa_scalar(samples, opts, **_):
+def _aaa_scalar(samples, order, tol, **_):
     if samples.shape != (1, 1):
         raise ParameterError("aaa-scalar requires 1x1 samples")
-    return aaa_scalar(samples.points, samples.values[:, 0, 0], opts)
+    return aaa_scalar(samples.points, samples.values[:, 0, 0], AaaOptions(tol=tol, max_order=order))
 
 
-# method name -> fit(samples, order=, opts=AaaOptions, iters=, seed=) -> evaluator or FitResult
+# method name -> fit(samples, order, tol=, iters=, seed=) -> evaluator or FitResult;
+# each method builds the options it reads, so a bad --tol or --iters fails only its cells
 _FITTERS = {
     "aaa-scalar": _aaa_scalar,
-    "set-valued-aaa": lambda s, opts, **_: set_valued_aaa(s, opts),
-    "surrogate-aaa": lambda s, opts, seed, **_: surrogate_aaa(s, *random_directions(*s.shape, seed), opts),
-    "block-aaa": lambda s, opts, **_: block_aaa(s, opts),
+    "set-valued-aaa": lambda s, order, tol, **_: set_valued_aaa(s, AaaOptions(tol=tol, max_order=order)),
+    "surrogate-aaa": lambda s, order, tol, seed, **_: surrogate_aaa(
+        s, *random_directions(*s.shape, seed), AaaOptions(tol=tol, max_order=order)),
+    "block-aaa": lambda s, order, tol, **_: block_aaa(s, AaaOptions(tol=tol, max_order=order)),
     "vf": lambda s, order, iters, **_: vf_matrix(s, order, VfOptions(iterations=iters)),
     "rkfit": lambda s, order, iters, **_: rkfit_fit(s, RkfitOptions(degree=order, iterations=iters)),
     "loewner": lambda s, order, **_: loewner_block(s, order),
@@ -195,25 +197,20 @@ _FITTERS = {
 METHODS = tuple(_FITTERS)
 
 
-def _fit_method(method, samples, order, tol, iters, seed):
-    """Fit one (method, order) cell; returns (evaluator, trace)."""
-    opts = AaaOptions(tol=tol, max_order=order)
-    if method not in _FITTERS:
-        raise ParameterError(f"unknown method {method!r} (choose from {METHODS})")
-    fit = _FITTERS[method](samples, order=order, opts=opts, iters=iters, seed=seed)
-    if isinstance(fit, FitResult):
-        return fit.model, fit.errors
-    return fit, []
-
-
 def run_sweep(problem, methods, orders, tol=1e-13, iters=5, seed=0, repeats=20,
               against_truth=False):
-    """Fit every (method, order) cell; errors are recorded, not raised.
+    """Fit every (method, order) cell; errors in a cell are recorded, not raised.
 
     Timing is the wall-clock average over `repeats` runs of the fit alone.
     RMSE is measured against the problem samples, or against fresh samples of
     the clean truth when `against_truth` is set and a truth function exists.
+    Raises ParameterError, before any fit, on an unknown method or repeats < 1.
     """
+    for method in methods:
+        if method not in _FITTERS:
+            raise ParameterError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
+    if repeats < 1:
+        raise ParameterError(f"repeats must be >= 1, got {repeats}")
     target = problem.samples
     if against_truth and problem.truth is not None:
         target = _sample(problem.truth, problem.samples.points)
@@ -225,36 +222,38 @@ def run_sweep(problem, methods, orders, tol=1e-13, iters=5, seed=0, repeats=20,
                     warnings.simplefilter("ignore")
                     t0 = time.perf_counter()
                     for _ in range(repeats):
-                        model, trace = _fit_method(method, problem.samples, order, tol, iters, seed)
+                        fit = _FITTERS[method](problem.samples, order, tol=tol, iters=iters, seed=seed)
                     elapsed = (time.perf_counter() - t0) / repeats
-                    err = rmse(target, model)
-                records.append(RunRecord(method, order, err, 1e3 * elapsed, "ok", trace))
+                    if not isinstance(fit, FitResult):
+                        fit = FitResult(fit, [])
+                    err = rmse(target, fit.model)
+                records.append(RunRecord(method, order, err, 1e3 * elapsed, "ok", fit.errors))
             except Exception as e:  # per-cell failure keeps the sweep going
                 records.append(RunRecord(method, order, float("nan"), 0.0, f"error: {e}"))
     return records
 
 
-def _write_records(fh, problem_name, records):
+def _write_table(path, header, rows):
+    """Write one CSV table, with LF line ends, to the file `path` or else to stdout."""
     import csv  # imported here, like argparse in `main`: importing blockrat.cli loads neither
+    from contextlib import nullcontext
 
-    out = csv.writer(fh, lineterminator="\n")
-    out.writerow(["problem", "method", "order", "rmse", "time_ms", "status"])
-    for r in records:
-        out.writerow([problem_name, r.method, r.order, f"{r.rmse:.17g}", f"{r.time_ms:.6g}", r.status])
+    with open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)
 
 
 def write_csv(problem_name, records, path, with_trace=False):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_records(fh, problem_name, records)
+    """Write the results table to `path` (stdout when it is None) and, with
+    `with_trace`, each cell's per-iteration errors to `<path>.trace.csv`."""
+    _write_table(path, ["problem", "method", "order", "rmse", "time_ms", "status"],
+                 ([problem_name, r.method, r.order, f"{r.rmse:.17g}", f"{r.time_ms:.6g}", r.status]
+                  for r in records))
     if with_trace:
-        import csv
-
-        with open(str(path) + ".trace.csv", "w", newline="", encoding="utf-8") as fh:
-            out = csv.writer(fh, lineterminator="\n")
-            out.writerow(["problem", "method", "order", "iteration", "value"])
-            for r in records:
-                for it, val in enumerate(r.trace):
-                    out.writerow([problem_name, r.method, r.order, it, f"{val:.17g}"])
+        _write_table(f"{path}.trace.csv", ["problem", "method", "order", "iteration", "value"],
+                     ([problem_name, r.method, r.order, it, f"{val:.17g}"]
+                      for r in records for it, val in enumerate(r.trace)))
 
 
 def _parse_orders(spec):
@@ -299,32 +298,20 @@ def main(argv=None):
     if args.trace and not args.out:
         ap.error("--trace writes <out>.trace.csv and needs --out")
 
-    if args.problem:
-        problem = PROBLEMS[args.problem]()
-    else:
-        problem = Problem(args.input, load_samples(args.input))
-    if args.noise is not None:
-        problem = Problem(problem.name, add_noise(problem.samples, NoiseSpec(args.noise, args.seed)),
-                          problem.truth)
-
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
-    for m in methods:
-        if m not in METHODS:
-            ap.error(f"unknown method {m!r}")
     try:
-        orders = _parse_orders(args.orders)
-    except ValueError as e:
+        if args.problem:
+            problem = PROBLEMS[args.problem]()
+        else:
+            problem = Problem(args.input, load_samples(args.input))
+        if args.noise is not None:
+            problem = Problem(problem.name, add_noise(problem.samples, NoiseSpec(args.noise, args.seed)),
+                              problem.truth)
+        records = run_sweep(problem, methods, _parse_orders(args.orders), tol=args.tol, iters=args.iters,
+                            seed=args.seed, repeats=args.repeats, against_truth=args.against_truth)
+    except (ValueError, OSError) as e:  # ParameterError is a ValueError
         ap.error(str(e))
-
-    records = run_sweep(problem, methods, orders, tol=args.tol, iters=args.iters,
-                        seed=args.seed, repeats=args.repeats,
-                        against_truth=args.against_truth)
-
-    if args.out:
-        write_csv(problem.name, records, args.out, with_trace=args.trace)
-    else:
-        _write_records(sys.stdout, problem.name, records)
-
+    write_csv(problem.name, records, args.out, with_trace=args.trace)
     return 2 if any(r.status != "ok" for r in records) else 0
 
 

@@ -91,24 +91,20 @@ def _openblas_thread_setter():
     A numpy wheel bundles that OpenBLAS (`libscipy_openblas64_*`) in the
     `numpy.libs` directory beside the package; loading the file again gives
     the library already in the process.  None where there is no such
-    directory or library, or the library lacks the function (before 0.3.27).
+    directory, not exactly one such library, or one that lacks the function
+    (before 0.3.27).
     """
     import ctypes  # here, not at module scope, like scipy in `_zggev`; numpy has loaded it
 
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     try:
-        names = sorted(name for name in os.listdir(libs) if "openblas" in name)
-    except OSError:
+        (name,) = (name for name in os.listdir(libs) if "openblas" in name)
+        setter = ctypes.CDLL(os.path.join(libs, name)).openblas_set_num_threads_local
+    except (OSError, ValueError, AttributeError):  # ValueError: no such file, or several
         return None
-    for name in names:
-        try:
-            setter = ctypes.CDLL(os.path.join(libs, name)).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = ctypes.c_int
-        return setter
-    return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
 
 
 # OpenBLAS's thread count is one per process: this lock keeps two threads

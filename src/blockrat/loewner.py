@@ -92,7 +92,7 @@ def _project(L, Ls, V, W, d):
 
 def loewner_scalar(points, values, d):
     """Scalar Loewner fit of target order d; returns a 1x1 LoewnerModel."""
-    return loewner_block(SampleSet(points, values), d)
+    return loewner_block(SampleSet(points, np.ravel(values)), d)
 
 
 def loewner_block(samples, d):

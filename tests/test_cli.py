@@ -211,6 +211,17 @@ class TestRunSweep:
         b = run_sweep(toy2, ["set-valued-aaa", "rkfit"], [4], repeats=1, seed=3)
         assert [r.rmse for r in a] == [r.rmse for r in b]
 
+    @pytest.mark.parametrize("methods, kwargs, message", [
+        (["vf", "nope"], {}, "unknown method 'nope'"),
+        (["vf"], {"repeats": 0}, "repeats must be >= 1, got 0"),
+    ])
+    def test_bad_arguments_raise_before_any_fit(self, toy1, monkeypatch, methods, kwargs, message):
+        fitted = []
+        monkeypatch.setitem(cli._FITTERS, "vf", lambda *args, **kw: fitted.append(args))
+        with pytest.raises(ParameterError, match=message):
+            run_sweep(toy1, methods, [1], **kwargs)
+        assert fitted == []
+
 
 class TestMain:
     def test_end_to_end_csv(self, tmp_path):
@@ -303,6 +314,39 @@ class TestMain:
         captured = capsys.readouterr()
         assert message in captured.err and "--orders" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("args, message", [
+        (["--problem", "toy1", "--repeats", "0"], "repeats must be >= 1, got 0"),
+        (["--problem", "toy1", "--repeats", "-1"], "repeats must be >= 1, got -1"),
+        (["--problem", "toy1", "--noise", "-1"], "noise standard deviation must be >= 0"),
+        (["--input", "{tmp}/bad.txt"], "bad header"),
+        (["--input", "{tmp}/missing.txt"], "No such file or directory"),
+    ], ids=["repeats-0", "repeats-negative", "noise-negative", "malformed-input", "missing-input"])
+    def test_bad_arguments_are_a_usage_error(self, tmp_path, capsys, args, message):
+        (tmp_path / "bad.txt").write_text("2 two 100\n")
+        args = [a.format(tmp=tmp_path) for a in args]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--method", "loewner", "--orders", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("option, methods, failing, message", [
+        ("--tol", "vf,rkfit,loewner", set(), None),
+        ("--tol", "block-aaa,loewner", {"block-aaa"}, "error: tolerance must be >= 0"),
+        ("--iters", "vf,rkfit,loewner,block-aaa", {"vf", "rkfit"}, "error: need at least one"),
+    ])
+    def test_an_option_fails_only_the_methods_that_read_it(self, tmp_path, option, methods, failing, message):
+        code, rows = self._rows(tmp_path, "--problem", "toy1", "--method", methods, "--orders", "3",
+                                option, "-1")
+        assert code == (2 if failing else 0)
+        assert [r["method"] for r in rows] == methods.split(",")
+        for r in rows:
+            if r["method"] in failing:
+                assert r["status"].startswith(message)
+            else:
+                assert r["status"] == "ok"
 
     def test_stdout_and_file_share_csv_format(self, tmp_path, capsys):
         args = ["--problem", "toy1", "--method", "loewner", "--orders", "1:2", "--repeats", "1"]

@@ -40,6 +40,20 @@ def test_scalar_length_mismatch_is_a_parameter_error(fit):
         fit(pts, 1.0 / (pts[:5] + 1))
 
 
+@pytest.mark.parametrize("fit", [
+    lambda pts, vals: aaa_scalar(pts, vals),
+    lambda pts, vals: vf_scalar(pts, vals, 2),
+    lambda pts, vals: loewner_scalar(pts, vals, 2),
+], ids=["aaa_scalar", "vf_scalar", "loewner_scalar"])
+def test_scalar_values_as_a_column_fit_as_the_flat_vector(fit):
+    pts = logspace_imaginary(1, 10, 12)
+    f = 1.0 / (pts + 1) + 1.0 / (pts + 3)
+    flat, column = fit(pts, f), fit(pts, f[:, None])
+    assert type(column) is type(flat)
+    assert {k: np.asarray(v).tobytes() for k, v in vars(column).items()} == \
+        {k: np.asarray(v).tobytes() for k, v in vars(flat).items()}
+
+
 @pytest.mark.parametrize("call, what", [
     (lambda: ScalarBarycentric(DUP, np.ones(3), np.ones(3)), "support points"),
     (lambda: BlockBaryA(DUP, np.ones(3), ONES), "support points"),
