@@ -307,7 +307,11 @@ def main(argv=None):
         if args.noise is not None:
             problem = Problem(problem.name, add_noise(problem.samples, NoiseSpec(args.noise, args.seed)),
                               problem.truth)
-        records = run_sweep(problem, methods, _parse_orders(args.orders), tol=args.tol, iters=args.iters,
+        orders = _parse_orders(args.orders)
+        # an output file that cannot be written is a usage error before the first fit
+        for path in filter(None, [args.out, args.trace and f"{args.out}.trace.csv"]):
+            open(path, "a", encoding="utf-8").close()
+        records = run_sweep(problem, methods, orders, tol=args.tol, iters=args.iters,
                             seed=args.seed, repeats=args.repeats, against_truth=args.against_truth)
     except (ValueError, OSError) as e:  # ParameterError is a ValueError
         ap.error(str(e))

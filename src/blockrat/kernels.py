@@ -19,10 +19,12 @@ pencil linearization (`pencil_eigs`, `nonlinear_eigs_baryC`) and
 
 `solve_checked`, `trailing_right_singular_vector` and `singular_values`
 skip work their callers never read, and keep LAPACK's bits; the weight SVD
-`trailing_left_singular_block` runs on one OpenBLAS thread.  Each function
-states its rule and the reason for it.
+`trailing_left_singular_block` runs on one OpenBLAS thread.  It takes a wide
+matrix's U from the L of OpenBLAS's own zgelqf, as zgesdd does, without V*.
+Each function states its rule and the reason for it.
 """
 
+import ctypes  # numpy has loaded it: the OpenBLAS functions below are called through it
 import functools
 import importlib.machinery
 import importlib.util
@@ -85,31 +87,54 @@ def singular_values(M):
 
 
 @functools.cache
-def _openblas_thread_setter():
-    """`openblas_set_num_threads_local` of the OpenBLAS numpy's linalg uses, or None.
+def _openblas_function(name, restype, *argtypes):
+    """The function `name` of the OpenBLAS numpy's linalg uses, typed, or None.
 
     A numpy wheel bundles that OpenBLAS (`libscipy_openblas64_*`) in the
     `numpy.libs` directory beside the package; loading the file again gives
     the library already in the process.  None where there is no such
-    directory, not exactly one such library, or one that lacks the function
-    (before 0.3.27).
+    directory, not exactly one such library, or one that lacks the function.
     """
-    import ctypes  # here, not at module scope, like scipy in `_zggev`; numpy has loaded it
-
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     try:
-        (name,) = (name for name in os.listdir(libs) if "openblas" in name)
-        setter = ctypes.CDLL(os.path.join(libs, name)).openblas_set_num_threads_local
+        (file,) = (file for file in os.listdir(libs) if "openblas" in file)
+        function = getattr(ctypes.CDLL(os.path.join(libs, file)), name)
     except (OSError, ValueError, AttributeError):  # ValueError: no such file, or several
         return None
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = ctypes.c_int
-    return setter
+    function.restype = restype
+    function.argtypes = argtypes
+    return function
+
+
+def _openblas_thread_setter():
+    """`openblas_set_num_threads_local(count)`, which returns the old count, or None.
+
+    OpenBLAS has the function from 0.3.27 on.
+    """
+    return _openblas_function("openblas_set_num_threads_local", ctypes.c_int, ctypes.c_int)
+
+
+def _zgelqf():
+    """LAPACK's zgelqf, the one numpy's SVD calls, or None.
+
+    The wheel's OpenBLAS is built with 64-bit integers (ILP64) and a
+    `scipy_` prefix, so the Fortran symbol is `scipy_zgelqf_64_`.  Its eight
+    arguments (M, N, A, LDA, TAU, WORK, LWORK, INFO) are all pointers.
+    """
+    return _openblas_function("scipy_zgelqf_64_", None, *[ctypes.c_void_p] * 8)
 
 
 # OpenBLAS's thread count is one per process: this lock keeps two threads
 # from interleaving their limit and restore, which could leave it at one
 _THREAD_COUNT_LOCK = threading.Lock()
+
+# zgesdd rescales a matrix whose largest |entry| is nonzero and below
+# SMLNUM = sqrt(safmin)/eps (about 6.7e-139), or above BIGNUM = 1/SMLNUM.
+# The LQ route of `trailing_left_singular_block` takes only an M whose
+# largest |entry| is in this narrower window: there neither M nor its L
+# factor is rescaled, for L's rows have the norms of M's, so max|L| lies
+# between max|M| / sqrt(rows) and max|M| * sqrt(cols)
+LQ_RANGE = (1e-100, 1e100)
 
 
 def trailing_left_singular_block(M, m):
@@ -118,39 +143,94 @@ def trailing_left_singular_block(M, m):
     Returns W of shape (m, rows(M)), scaled to unit Frobenius norm.  Among all
     unit-Frobenius-norm W with orthonormal rows this minimizes ||W @ M||_F.
 
+    Only U is read, and for a wide M the economy SVD also forms the rows x
+    cols matrix V*.  A wide M from cols >= floor(17 rows / 9) on (zgesdd's
+    MNTHR1) therefore takes the route LAPACK's zgesdd takes inside, without
+    V*.  For such an M, zgesdd with JOBZ='S' (its path 3t) factors M = L Q
+    with zgelqf, takes U from L through zgebrd, dbdsdc and zunmbr, and only
+    then builds Q and V* = V_L* Q.  Here `_lq_factor` calls the same zgelqf,
+    in the OpenBLAS numpy's SVD calls, with the same optimal workspace and
+    at the same thread count, so L has zgesdd's bits; the SVD of the square
+    L runs the same three steps on it (zgesdd's path for a square matrix),
+    so U has the economy SVD's bits.
+
+    M takes the SVD of M itself wherever zgesdd does something else first.
+    zgesdd rescales M where its largest |entry| is outside `LQ_RANGE`; that
+    test also catches an infinite entry (zgesdd scales M to NaN and reports
+    no error), a zero M and an empty one (which the SVD rejects with
+    `ParameterError`).  zgesdd stops on a NaN entry, which numpy's SVD
+    raises and `_svd` turns into `NumericalError` naming M's shape.  The SVD
+    of M is also taken where numpy's linalg has no bundled OpenBLAS with
+    zgelqf (MKL, Accelerate, a system library), and for a tall M, which
+    needs the full U: its trailing columns span M's left null space.
+
     M is factored on one OpenBLAS thread, so W has the same bits at any
     thread count, and block-AAA's and the bary-C refit's weights with it.
     At the sizes they reach, a second thread also costs more than it saves:
-    block-AAA's 32 x 970 matrix on `buckling` at order 15 takes 9.1 ms on
-    two threads and 3.8 ms on one.  Every other kernel keeps the process's
-    count: RKFIT's least squares and SVDs round differently on one thread,
-    and their benchmark reference was recorded on two.
+    block-AAA's 32 x 970 matrix on `buckling` at order 15 took 9.1 ms on
+    two threads and 3.8 ms on one through the economy SVD.  Every other
+    kernel keeps the process's count: RKFIT's least squares and SVDs round
+    differently on one thread, and their benchmark reference was recorded
+    on two.
 
     The limit goes through `openblas_set_num_threads_local` (see
     `_openblas_thread_setter`), which sets OpenBLAS's count to 1 and returns
     the old count; that count is restored, also when the SVD raises.  It is
     the process's count, so a concurrent BLAS call in another thread runs on
-    one thread meanwhile.  Where numpy links another BLAS (MKL, Accelerate,
-    a system library) or an OpenBLAS older than 0.3.27, the SVD runs at the
-    process's count.
+    one thread meanwhile.  Where numpy links another BLAS or an OpenBLAS
+    older than 0.3.27, the SVD runs at the process's count.
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.shape[0] % m != 0:
         raise ParameterError(f"block height {m} does not divide {M.shape[0]} rows")
-    # only u is used: the economy SVD gives all of it for a wide M, and a tall
-    # M needs the full u, whose trailing columns span its left null space
-    full = M.shape[0] > M.shape[1]
     setter = _openblas_thread_setter()
     if setter is None:
-        u = _svd(M, full)[0]
+        u = _left_singular_vectors(M)
     else:
         with _THREAD_COUNT_LOCK:
             count = setter(1)
             try:
-                u = _svd(M, full)[0]
+                u = _left_singular_vectors(M)
             finally:
                 setter(count)
     return u[:, -m:].conj().T / np.sqrt(m)
+
+
+def _left_singular_vectors(M):
+    """U of the SVD of M, full for a tall M and economy otherwise, through L
+    where `trailing_left_singular_block` says."""
+    rows, cols = M.shape
+    if rows < cols and cols >= 17 * rows // 9 and _zgelqf() is not None:
+        # a NaN fails both comparisons, and an empty M's largest entry is 0
+        if LQ_RANGE[0] <= np.abs(M).max(initial=0) <= LQ_RANGE[1]:
+            return _svd(_lq_factor(M), False)[0]
+    return _svd(M, rows > cols)[0]
+
+
+def _lq_factor(M):
+    """The lower-triangular L of M = L Q, for rows <= cols, by `_zgelqf`.
+
+    zgelqf is called as zgesdd calls it: after a workspace query, with the
+    optimal workspace, which sets the block size of its blocked Householder
+    steps.  It overwrites its Fortran-ordered copy of M with L on and below
+    the diagonal and Q's reflectors elsewhere; L is returned with zeros
+    above the diagonal, as zgesdd copies it.  Raises `NumericalError` when
+    zgelqf reports a nonzero INFO.
+    """
+    rows, cols = M.shape
+    zgelqf = _zgelqf()
+    A = np.array(M, order="F")
+    tau = np.empty(rows, dtype=complex)
+    m, n, lwork, info = (ctypes.c_int64(k) for k in (rows, cols, -1, 0))
+    head = (ctypes.byref(m), ctypes.byref(n), A.ctypes.data, ctypes.byref(m), tau.ctypes.data)
+    work = np.empty(1, dtype=complex)
+    zgelqf(*head, work.ctypes.data, ctypes.byref(lwork), ctypes.byref(info))  # lwork -1: a query
+    lwork.value = int(work[0].real)
+    work = np.empty(lwork.value, dtype=complex)
+    zgelqf(*head, work.ctypes.data, ctypes.byref(lwork), ctypes.byref(info))
+    if info.value:
+        raise NumericalError(f"LQ factorization failed for shape {M.shape}: zgelqf info={info.value}")
+    return np.tril(A[:, :rows])
 
 
 def trailing_right_singular_vector(A):

@@ -332,6 +332,24 @@ class TestMain:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("out, trace, message", [
+        ("nodir/x.csv", [], "No such file or directory: '{tmp}/nodir/x.csv'"),
+        ("x.csv", ["--trace"], "Is a directory: '{tmp}/x.csv.trace.csv'"),
+    ], ids=["missing-directory", "trace-path-a-directory"])
+    def test_unwritable_output_is_a_usage_error_before_any_fit(self, tmp_path, capsys, monkeypatch,
+                                                               out, trace, message):
+        (tmp_path / "x.csv.trace.csv").mkdir()
+        fitted = []
+        monkeypatch.setitem(cli._FITTERS, "loewner", lambda *args, **kw: fitted.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "toy1", "--method", "loewner", "--orders", "1:3", "--repeats", "1",
+                  "--out", str(tmp_path / out), *trace])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert message.format(tmp=tmp_path) in captured.err
+        assert captured.out == ""
+        assert fitted == []
+
     @pytest.mark.parametrize("option, methods, failing, message", [
         ("--tol", "vf,rkfit,loewner", set(), None),
         ("--tol", "block-aaa,loewner", {"block-aaa"}, "error: tolerance must be >= 0"),

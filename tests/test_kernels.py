@@ -244,7 +244,8 @@ class TestOneThreadWeightSvd:
         monkeypatch.setattr(kernels.os, "listdir", fake_listdir)
         if cdll is not None:
             monkeypatch.setattr(ctypes, "CDLL", cdll)
-        assert kernels._openblas_thread_setter.__wrapped__() is None
+        for name in ("openblas_set_num_threads_local", "scipy_zgelqf_64_"):
+            assert kernels._openblas_function.__wrapped__(name, None) is None
 
     # 2^18 entries and two more: no size escapes the limit
     @pytest.mark.parametrize("cols", [2**17, 2**17 + 1])
@@ -285,6 +286,152 @@ class TestOneThreadWeightSvd:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         assert got == [want] * 200
+        assert _openblas_count(setter) == before
+
+
+def _on_one_thread(f, *args):
+    """f(*args) on one OpenBLAS thread where that can be set."""
+    setter = kernels._openblas_thread_setter()
+    if setter is None:
+        return f(*args)
+    with kernels._THREAD_COUNT_LOCK:
+        count = setter(1)
+        try:
+            return f(*args)
+        finally:
+            setter(count)
+
+
+def _economy_u_on_one_thread(M):
+    return _on_one_thread(np.linalg.svd, M, False)[0]
+
+
+def _lq_spy(monkeypatch):
+    """Records the shape of each M that `_lq_factor`, so the LQ route, factors."""
+    calls = []
+    lq_factor = kernels._lq_factor
+    monkeypatch.setattr(kernels, "_lq_factor", lambda M: calls.append(M.shape) or lq_factor(M))
+    return calls
+
+
+def _complex_normal(seed, rows, cols):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+class TestLqRoute:
+    """A wide M from zgesdd's MNTHR1 on goes through zgelqf's L, with the economy SVD's bits."""
+
+    @pytest.fixture(autouse=True)
+    def _skip_without_the_route(self):
+        # CI fails when either is missing, so these tests cannot pass there on the fallback alone
+        if kernels._zgelqf() is None or kernels._openblas_thread_setter() is None:
+            pytest.skip("numpy's linalg has no bundled OpenBLAS with zgelqf and openblas_set_num_threads_local")
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 64), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_u_and_the_weight_block_are_the_economy_svd_bytes(self, rows, data, seed):
+        # from one column below MNTHR1 up to 1000 columns
+        cols = data.draw(st.integers(max(17 * rows // 9 - 1, 1), 1000), label="cols")
+        M = _complex_normal(seed, rows, cols)
+        u = _economy_u_on_one_thread(M)
+        assert _on_one_thread(kernels._left_singular_vectors, M).tobytes() == u.tobytes()
+        W = u[:, -1:].conj().T / np.sqrt(1)
+        assert trailing_left_singular_block(M, 1).tobytes() == W.tobytes()
+
+    @pytest.mark.parametrize("rows", range(1, 65))
+    def test_both_sides_of_mnthr1(self, monkeypatch, rows):
+        calls = _lq_spy(monkeypatch)
+        for cols in (17 * rows // 9 - 1, 17 * rows // 9):
+            if cols == 0:
+                continue
+            M = _complex_normal(rows * cols, rows, cols)
+            W = _economy_u_on_one_thread(M)[:, -1:].conj().T / np.sqrt(1)
+            assert trailing_left_singular_block(M, 1).tobytes() == W.tobytes()
+        # a square M (1 x 1 and 2 x 2) and a wide one below MNTHR1 keep the SVD of M
+        assert calls == ([(rows, 17 * rows // 9)] if rows >= 2 else [])
+
+    @pytest.mark.parametrize("scale, lq", [
+        (0.5 * kernels.LQ_RANGE[0], False),
+        (2.0 * kernels.LQ_RANGE[0], True),
+        (0.5 * kernels.LQ_RANGE[1], True),
+        (2.0 * kernels.LQ_RANGE[1], False),
+        (1e-145, False),  # where zgesdd rescales M
+        (1e145, False),
+        (0.0, False),
+    ])
+    def test_largest_entry_outside_the_window_takes_the_svd(self, monkeypatch, scale, lq):
+        calls = _lq_spy(monkeypatch)
+        M = _complex_normal(8, 6, 40)
+        M *= scale / np.abs(M).max()
+        want = _economy_u_on_one_thread(M)[:, -2:].conj().T / np.sqrt(2)
+        assert trailing_left_singular_block(M, 2).tobytes() == want.tobytes()
+        assert calls == ([(6, 40)] if lq else [])
+
+    def test_nan_entry_is_the_svd_error(self, monkeypatch):
+        calls = _lq_spy(monkeypatch)
+        M = _complex_normal(9, 4, 20)
+        M[1, 3] = complex(1.0, np.nan)
+        with pytest.raises(NumericalError, match=r"SVD did not converge for shape \(4, 20\)"):
+            trailing_left_singular_block(M, 2)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [np.inf, complex(-np.inf, np.nan)])
+    def test_infinite_entry_keeps_the_svd_bytes(self, monkeypatch, bad):
+        # zgesdd scales an infinite M by zero and returns NaN without an error
+        calls = _lq_spy(monkeypatch)
+        M = _complex_normal(9, 4, 20)
+        M[1, 3] = bad
+        want = _economy_u_on_one_thread(M)[:, -2:].conj().T / np.sqrt(2)
+        assert trailing_left_singular_block(M, 2).tobytes() == want.tobytes()
+        assert calls == []
+
+    def test_without_the_library_the_bytes_are_unchanged(self, monkeypatch):
+        M = _complex_normal(10, 32, 970)
+        want = np.linalg.svd(M, full_matrices=False)[0][:, -2:].conj().T / np.sqrt(2)
+        monkeypatch.setattr(kernels, "_openblas_function", lambda *args: None)
+        calls = _lq_spy(monkeypatch)
+        assert trailing_left_singular_block(M, 2).tobytes() == want.tobytes()
+        assert calls == []
+
+    def test_without_zgelqf_the_bytes_are_unchanged(self, monkeypatch):
+        M = _complex_normal(11, 32, 970)
+        want = _economy_u_on_one_thread(M)[:, -2:].conj().T / np.sqrt(2)
+        monkeypatch.setattr(kernels, "_zgelqf", lambda: None)
+        calls = _lq_spy(monkeypatch)
+        assert trailing_left_singular_block(M, 2).tobytes() == want.tobytes()
+        assert calls == []
+
+    def test_zgelqf_runs_on_one_thread(self, monkeypatch):
+        events = []
+        zgelqf = kernels._zgelqf()
+
+        def setter(k):
+            events.append(("threads", k))
+            return 7
+
+        def spy(*args):
+            events.append("zgelqf")
+            zgelqf(*args)
+
+        monkeypatch.setattr(kernels, "_openblas_thread_setter", lambda: setter)
+        monkeypatch.setattr(kernels, "_zgelqf", lambda: spy)
+        trailing_left_singular_block(_complex_normal(12, 4, 100), 2)
+        # the workspace query, then the factorization
+        assert events == [("threads", 1), "zgelqf", "zgelqf", ("threads", 7)]
+
+    def test_nonzero_info_raises_and_restores_the_thread_count(self, monkeypatch):
+        setter = kernels._openblas_thread_setter()
+        before = _openblas_count(setter)
+        zgelqf = kernels._zgelqf()
+
+        def failing(*args):
+            zgelqf(*args)
+            args[-1]._obj.value = -7  # INFO, passed by reference
+
+        monkeypatch.setattr(kernels, "_zgelqf", lambda: failing)
+        with pytest.raises(NumericalError, match=r"shape \(4, 100\): zgelqf info=-7"):
+            trailing_left_singular_block(_complex_normal(13, 4, 100), 2)
         assert _openblas_count(setter) == before
 
 
