@@ -5,17 +5,13 @@ descending singular values, minimum-norm least squares, the
 singularity-checked solve every matrix model evaluates with, and (alpha,
 beta) generalized eigenvalue pairs.
 
-Everything here runs on numpy except `gen_eig`, numpy having no QZ.  On its
-first call it loads the one LAPACK routine it needs, `zggev`, from scipy's
-compiled wrapper module `scipy.linalg._flapack`, by file and without running
-`scipy/linalg/__init__.py`: that package import pulls in numpy.ma,
-numpy.testing, numpy.f2py and some 330 modules in all (about 28 MB of RSS
-and a quarter of a second), where the top-level `scipy` and the extension
-load some 20 modules and about 3 MB.  So the AAA family, vector fitting and
-the Loewner fit itself run on numpy alone, and scipy's wrapper loads only
-where a generalized eigenproblem is solved: RKFIT's pole relocation, the
-pencil linearization (`pencil_eigs`, `nonlinear_eigs_baryC`) and
-`loewner.model_poles`.
+Everything here runs on numpy and on the OpenBLAS that numpy's wheel
+bundles.  numpy has no QZ, so `gen_eig` calls that library's LAPACK
+`zggev` through `ctypes`, as the weight SVD calls its `zgelqf`: blockrat
+loads no second OpenBLAS, with a thread count of its own.  Only where numpy
+links another BLAS (MKL, Accelerate, a system library) or a bundled
+OpenBLAS without `zggev` does `gen_eig` fall back to `scipy.linalg.eig`,
+from the optional `scipy` extra.
 
 `solve_checked`, `trailing_right_singular_vector` and `singular_values`
 skip work their callers never read, and keep LAPACK's bits; the weight SVD
@@ -26,10 +22,7 @@ Each function states its rule and the reason for it.
 
 import ctypes  # numpy has loaded it: the OpenBLAS functions below are called through it
 import functools
-import importlib.machinery
-import importlib.util
 import os
-import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -70,9 +63,13 @@ def _svd(M, full_matrices, compute_uv=True):
     if M.size == 0:
         raise ParameterError("cannot take the SVD of an empty matrix")
     try:
-        return np.linalg.svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
+        usv = np.linalg.svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"SVD did not converge for shape {M.shape}: {e}") from e
+    # zgesdd scales a matrix with an infinite entry by zero and returns NaN, with INFO 0
+    if not np.isfinite(usv[1] if compute_uv else usv).all():
+        raise NumericalError(f"SVD did not converge for shape {M.shape}: non-finite singular values")
+    return usv
 
 
 def svd_full(M):
@@ -156,13 +153,13 @@ def trailing_left_singular_block(M, m):
 
     M takes the SVD of M itself wherever zgesdd does something else first.
     zgesdd rescales M where its largest |entry| is outside `LQ_RANGE`; that
-    test also catches an infinite entry (zgesdd scales M to NaN and reports
-    no error), a zero M and an empty one (which the SVD rejects with
-    `ParameterError`).  zgesdd stops on a NaN entry, which numpy's SVD
-    raises and `_svd` turns into `NumericalError` naming M's shape.  The SVD
-    of M is also taken where numpy's linalg has no bundled OpenBLAS with
-    zgelqf (MKL, Accelerate, a system library), and for a tall M, which
-    needs the full U: its trailing columns span M's left null space.
+    test also catches an infinite entry, a zero M and an empty one (which
+    the SVD rejects with `ParameterError`).  zgesdd stops on a NaN entry,
+    which numpy's SVD raises, and returns NaN for an infinite one; `_svd`
+    turns both into `NumericalError` naming M's shape.  The SVD of M is
+    also taken where numpy's linalg has no bundled OpenBLAS with zgelqf
+    (MKL, Accelerate, a system library), and for a tall M, which needs the
+    full U: its trailing columns span M's left null space.
 
     M is factored on one OpenBLAS thread, so W has the same bits at any
     thread count, and block-AAA's and the bary-C refit's weights with it.
@@ -324,29 +321,13 @@ def solve_checked(S, T):
     return X
 
 
-@functools.cache
 def _zggev():
-    """scipy's f2py wrapper of LAPACK's zggev, loaded without the scipy.linalg package.
+    """LAPACK's zggev from the OpenBLAS of `_zgelqf`, `scipy_zggev_64_`, or None.
 
-    The top-level `scipy` is imported first: it gives the package directory
-    and runs scipy's own start-up (its numpy version check and any
-    distributor's BLAS set-up).  Loading the extension registers it in
-    sys.modules; that entry is dropped again unless it was there before, so a
-    later `import scipy.linalg` loads the module itself and sets it as the
-    package's `_flapack` attribute, sharing the same `zggev`.
-    """
-    import scipy  # here, not at module scope: nothing else needs scipy
-
-    name = "scipy.linalg._flapack"
-    spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(path, "linalg") for path in scipy.__path__]
-    )
-    loaded = name in sys.modules
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    if not loaded:
-        sys.modules.pop(name, None)
-    return module.zggev
+    Its 17 arguments (JOBVL, JOBVR, N, A, LDA, B, LDB, ALPHA, BETA, VL, LDVL,
+    VR, LDVR, WORK, LWORK, RWORK, INFO) are pointers; the Fortran lengths of
+    the strings JOBVL and JOBVR follow."""
+    return _openblas_function("scipy_zggev_64_", None, *[ctypes.c_void_p] * 17, ctypes.c_size_t, ctypes.c_size_t)
 
 
 def gen_eig(A, B):
@@ -355,12 +336,13 @@ def gen_eig(A, B):
     Each pair encodes the eigenvalue alpha/beta; pairs whose |beta| falls
     below EPS_FINITE * max(||A||, ||B||) represent infinite eigenvalues.
 
-    QZ through LAPACK's zggev, called the way `scipy.linalg.eig(A, B,
-    right=False, homogeneous_eigvals=True)` calls it (a workspace query with
-    the wrapper's defaults, then the eigenvalues alone), so the pairs are
-    that function's, bit for bit.  Its input rules are kept too: a
-    non-finite entry raises `ParameterError` before LAPACK is reached and a
-    0x0 pencil has no eigenvalues.
+    QZ through LAPACK's zggev, called as `scipy.linalg.eig(A, B, right=False,
+    homogeneous_eigvals=True)` calls it, so the pairs are that function's, bit
+    for bit: on Fortran-ordered copies, after a workspace query with the
+    wrapper's default JOBVL = JOBVR = 'V' (its LWORK sets the block sizes),
+    for the eigenvalues alone with an RWORK of 8n.  That function itself runs
+    where `_zggev` is None.  A non-finite entry raises `ParameterError`
+    before LAPACK is reached and a 0x0 pencil has no eigenvalues, as there.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     B = np.atleast_2d(np.asarray(B, dtype=complex))
@@ -370,11 +352,28 @@ def gen_eig(A, B):
         raise ParameterError("the pencil has a non-finite entry")
     if A.size == 0:
         return []
+    n = A.shape[0]
     zggev = _zggev()
-    lwork = int(zggev(A, B, lwork=-1)[-2][0].real)
-    alpha, beta, _, _, _, info = zggev(A, B, 0, 0, lwork, 0, 0)
-    if info:
-        raise NumericalError(f"QZ iteration failed for size {A.shape[0]}: zggev info={info}")
+    if zggev is None:
+        from scipy.linalg import eig  # the optional scipy extra, needed only here
+        try:
+            return list(zip(*eig(A, B, right=False, homogeneous_eigvals=True)))
+        except np.linalg.LinAlgError as e:
+            raise NumericalError(f"QZ iteration failed for size {n}: {e}") from e
+    A, B = np.array(A, order="F"), np.array(B, order="F")
+    alpha, beta, work, rwork = np.empty(n, complex), np.empty(n, complex), np.empty(1, complex), np.empty(8 * n)
+    size, lwork, info, one = (ctypes.c_int64(k) for k in (n, -1, 0, 1))
+    N, LWORK = ctypes.byref(size), ctypes.byref(lwork)
+    # each array's address is read once: numpy's `.ctypes` costs microseconds
+    head = (N, A.ctypes.data, N, B.ctypes.data, N, alpha.ctypes.data, beta.ctypes.data)
+    tail = (rwork.ctypes.data, ctypes.byref(info), 1, 1)
+    # VL and VR are never referenced: neither by a workspace query nor with JOBV* = 'N'
+    zggev(b"V", b"V", *head, None, N, None, N, work.ctypes.data, LWORK, *tail)  # lwork -1: a query
+    lwork.value = int(work[0].real)
+    work = np.empty(lwork.value, dtype=complex)
+    zggev(b"N", b"N", *head, None, ctypes.byref(one), None, ctypes.byref(one), work.ctypes.data, LWORK, *tail)
+    if info.value:
+        raise NumericalError(f"QZ iteration failed for size {n}: zggev info={info.value}")
     return list(zip(alpha, beta))
 
 

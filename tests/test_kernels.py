@@ -244,7 +244,7 @@ class TestOneThreadWeightSvd:
         monkeypatch.setattr(kernels.os, "listdir", fake_listdir)
         if cdll is not None:
             monkeypatch.setattr(ctypes, "CDLL", cdll)
-        for name in ("openblas_set_num_threads_local", "scipy_zgelqf_64_"):
+        for name in ("openblas_set_num_threads_local", "scipy_zgelqf_64_", "scipy_zggev_64_"):
             assert kernels._openblas_function.__wrapped__(name, None) is None
 
     # 2^18 entries and two more: no size escapes the limit
@@ -377,13 +377,14 @@ class TestLqRoute:
         assert calls == []
 
     @pytest.mark.parametrize("bad", [np.inf, complex(-np.inf, np.nan)])
-    def test_infinite_entry_keeps_the_svd_bytes(self, monkeypatch, bad):
-        # zgesdd scales an infinite M by zero and returns NaN without an error
+    def test_infinite_entry_is_the_svd_error(self, monkeypatch, bad):
+        # zgesdd scales an infinite M by zero and returns NaN without an error,
+        # which `_svd` raises as it raises zgesdd's stop on a NaN entry
         calls = _lq_spy(monkeypatch)
         M = _complex_normal(9, 4, 20)
         M[1, 3] = bad
-        want = _economy_u_on_one_thread(M)[:, -2:].conj().T / np.sqrt(2)
-        assert trailing_left_singular_block(M, 2).tobytes() == want.tobytes()
+        with pytest.raises(NumericalError, match=r"SVD did not converge for shape \(4, 20\)"):
+            trailing_left_singular_block(M, 2)
         assert calls == []
 
     def test_without_the_library_the_bytes_are_unchanged(self, monkeypatch):
@@ -642,6 +643,13 @@ class TestSingularValues:
         with pytest.raises(NumericalError):
             singular_values(A)
 
+    def test_infinite_entry_raises_numerical_error(self):
+        # where zgesdd returns NaN singular values with INFO 0
+        A = np.ones((3, 4), dtype=complex)
+        A[0, 0] = complex(0, np.inf)
+        with pytest.raises(NumericalError, match=r"shape \(3, 4\)"):
+            singular_values(A)
+
 
 class TestLstsq:
     def test_square_nonsingular(self):
@@ -697,7 +705,7 @@ class TestGenEig:
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans())
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.booleans())
     def test_pairs_are_scipy_eig_bytes(self, seed, n, singular):
         # the pairs of scipy.linalg.eig(A, B, right=False,
         # homogeneous_eigvals=True), bit for bit, with B regular or singular
@@ -727,24 +735,40 @@ class TestGenEig:
         with pytest.raises(ParameterError):
             gen_eig(np.ones(a_shape), np.ones(b_shape))
 
-    def test_loading_leaves_an_imported_scipy_linalg_as_it_was(self):
-        # scipy.linalg is imported in this process (see the imports above)
-        import scipy.linalg
-
-        kernels._zggev.cache_clear()
-        assert kernels._zggev() is scipy.linalg._flapack.zggev
-        assert sys.modules["scipy.linalg._flapack"] is scipy.linalg._flapack
+    @pytest.mark.parametrize("n, singular", [(1, False), (6, False), (6, True), (30, False)])
+    def test_without_zggev_the_pairs_are_scipy_eig_bytes(self, monkeypatch, n, singular):
+        rng = np.random.default_rng(n)
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        B = np.diag(np.arange(n) % 2) + 0j if singular else np.eye(n) + 1j * rng.normal(size=(n, n))
+        alpha, beta = eig(A, B, right=False, homogeneous_eigvals=True)
+        monkeypatch.setattr(kernels, "_zggev", lambda: None)
+        assert np.array(gen_eig(A, B)).tobytes() == np.column_stack([alpha, beta]).tobytes()
 
     def test_empty_pencil_has_no_eigenvalues(self):
         assert gen_eig(np.zeros((0, 0)), np.zeros((0, 0))) == []
 
     def test_qz_failure_raises_numerical_error_with_size(self, monkeypatch):
-        def failing_zggev(a, b, *args, lwork=None):
-            n = a.shape[0]
-            return np.zeros(n, complex), np.zeros(n, complex), None, None, np.array([2.0 * n]), n
+        zggev = kernels._zggev()
+        if zggev is None:
+            pytest.skip("numpy's linalg has no bundled OpenBLAS with zggev")
 
-        monkeypatch.setattr(kernels, "_zggev", lambda: failing_zggev)
-        with pytest.raises(NumericalError, match="size 4"):
+        def failing(*args):
+            zggev(*args)
+            args[16]._obj.value = 5  # INFO, passed by reference
+
+        monkeypatch.setattr(kernels, "_zggev", lambda: failing)
+        with pytest.raises(NumericalError, match="size 4: zggev info=5"):
+            gen_eig(np.eye(4), np.eye(4))
+
+    def test_qz_failure_without_zggev_raises_numerical_error_with_size(self, monkeypatch):
+        import scipy.linalg
+
+        def failing_eig(*args, **kwargs):
+            raise np.linalg.LinAlgError("generalized eig algorithm did not converge (info=5)")
+
+        monkeypatch.setattr(kernels, "_zggev", lambda: None)
+        monkeypatch.setattr(scipy.linalg, "eig", failing_eig)
+        with pytest.raises(NumericalError, match="size 4: generalized eig"):
             gen_eig(np.eye(4), np.eye(4))
 
 
