@@ -14,18 +14,19 @@ OpenBLAS without `zggev` does `gen_eig` fall back to `scipy.linalg.eig`,
 from the optional `scipy` extra.
 
 `solve_checked`, `trailing_right_singular_vector` and `singular_values`
-skip work their callers never read, and keep LAPACK's bits; the weight SVD
-`trailing_left_singular_block` runs on one OpenBLAS thread.  It takes a wide
-matrix's U from the L of OpenBLAS's own zgelqf, as zgesdd does, without V*.
-Each function states its rule and the reason for it.
+skip work their callers never read, and keep LAPACK's bits.  The weight SVD
+`trailing_left_singular_block` runs in `_one_openblas_thread`, the one window
+that limits OpenBLAS to one thread, and takes a wide matrix's U from the L of
+OpenBLAS's own zgelqf, as zgesdd does, without V*.  Each function states its
+rule and the reason for it.
 """
 
+import contextlib
 import ctypes  # numpy has loaded it: the OpenBLAS functions below are called through it
 import functools
 import os
 import threading
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +39,6 @@ EPS_FINITE = 1e-12  # |beta| below this (relative) flags an infinite eigenvalue
 COND_LIMIT = 1e14
 
 __all__ = [
-    "SvdResult",
     "svd_full",
     "singular_values",
     "trailing_left_singular_block",
@@ -50,31 +50,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class SvdResult:
-    u: np.ndarray  # column-orthonormal left singular vectors
-    s: np.ndarray  # singular values, descending
-    v: np.ndarray  # column-orthonormal right singular vectors (M = u @ diag(s) @ v*)
-
-
 def _svd(M, full_matrices, compute_uv=True):
     """The SVD of M as a complex matrix: the one SVD call of the package."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.size == 0:
         raise ParameterError("cannot take the SVD of an empty matrix")
+    if not np.isfinite(M).all():  # zgesdd would print DLASCL's complaint to stdout on an infinite entry
+        raise NumericalError(f"SVD did not converge for shape {M.shape}: non-finite entry")
     try:
         usv = np.linalg.svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"SVD did not converge for shape {M.shape}: {e}") from e
-    # zgesdd scales a matrix with an infinite entry by zero and returns NaN, with INFO 0
+    # a finite M whose singular values overflow
     if not np.isfinite(usv[1] if compute_uv else usv).all():
         raise NumericalError(f"SVD did not converge for shape {M.shape}: non-finite singular values")
     return usv
 
 
 def svd_full(M):
-    u, s, vh = _svd(M, True)
-    return SvdResult(u, s, vh.conj().T)
+    """(u, s, vh) of the full SVD of M, as `np.linalg.svd` returns them."""
+    return _svd(M, True)
 
 
 def singular_values(M):
@@ -104,10 +99,7 @@ def _openblas_function(name, restype, *argtypes):
 
 
 def _openblas_thread_setter():
-    """`openblas_set_num_threads_local(count)`, which returns the old count, or None.
-
-    OpenBLAS has the function from 0.3.27 on.
-    """
+    """`openblas_set_num_threads_local(count)` (OpenBLAS 0.3.27 on), which returns the old count, or None."""
     return _openblas_function("openblas_set_num_threads_local", ctypes.c_int, ctypes.c_int)
 
 
@@ -121,9 +113,29 @@ def _zgelqf():
     return _openblas_function("scipy_zgelqf_64_", None, *[ctypes.c_void_p] * 8)
 
 
-# OpenBLAS's thread count is one per process: this lock keeps two threads
-# from interleaving their limit and restore, which could leave it at one
-_THREAD_COUNT_LOCK = threading.Lock()
+# OpenBLAS's thread count is one per process: this lock keeps two threads from
+# interleaving their limit and restore, which could leave it at one; reentrant for nesting
+_THREAD_COUNT_LOCK = threading.RLock()
+
+
+@contextlib.contextmanager
+def _one_openblas_thread():
+    """Run the body on one OpenBLAS thread and restore the old count, also if it raises.
+
+    The count is the process's: a BLAS call in another thread runs on one
+    thread meanwhile.  A no-op where `_openblas_thread_setter` is None.
+    """
+    setter = _openblas_thread_setter()
+    if setter is None:
+        yield
+        return
+    with _THREAD_COUNT_LOCK:
+        count = setter(1)
+        try:
+            yield
+        finally:
+            setter(count)
+
 
 # zgesdd rescales a matrix whose largest |entry| is nonzero and below
 # SMLNUM = sqrt(safmin)/eps (about 6.7e-139), or above BIGNUM = 1/SMLNUM.
@@ -154,9 +166,8 @@ def trailing_left_singular_block(M, m):
     M takes the SVD of M itself wherever zgesdd does something else first.
     zgesdd rescales M where its largest |entry| is outside `LQ_RANGE`; that
     test also catches an infinite entry, a zero M and an empty one (which
-    the SVD rejects with `ParameterError`).  zgesdd stops on a NaN entry,
-    which numpy's SVD raises, and returns NaN for an infinite one; `_svd`
-    turns both into `NumericalError` naming M's shape.  The SVD of M is
+    the SVD rejects with `ParameterError`), and a NaN entry fails it; `_svd`
+    raises `NumericalError` naming M's shape on both.  The SVD of M is
     also taken where numpy's linalg has no bundled OpenBLAS with zgelqf
     (MKL, Accelerate, a system library), and for a tall M, which needs the
     full U: its trailing columns span M's left null space.
@@ -168,28 +179,13 @@ def trailing_left_singular_block(M, m):
     two threads and 3.8 ms on one through the economy SVD.  Every other
     kernel keeps the process's count: RKFIT's least squares and SVDs round
     differently on one thread, and their benchmark reference was recorded
-    on two.
-
-    The limit goes through `openblas_set_num_threads_local` (see
-    `_openblas_thread_setter`), which sets OpenBLAS's count to 1 and returns
-    the old count; that count is restored, also when the SVD raises.  It is
-    the process's count, so a concurrent BLAS call in another thread runs on
-    one thread meanwhile.  Where numpy links another BLAS or an OpenBLAS
-    older than 0.3.27, the SVD runs at the process's count.
+    on two.  The limit is `_one_openblas_thread`'s.
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.shape[0] % m != 0:
         raise ParameterError(f"block height {m} does not divide {M.shape[0]} rows")
-    setter = _openblas_thread_setter()
-    if setter is None:
+    with _one_openblas_thread():
         u = _left_singular_vectors(M)
-    else:
-        with _THREAD_COUNT_LOCK:
-            count = setter(1)
-            try:
-                u = _left_singular_vectors(M)
-            finally:
-                setter(count)
     return u[:, -m:].conj().T / np.sqrt(m)
 
 

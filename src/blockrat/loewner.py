@@ -68,8 +68,8 @@ def _project(L, Ls, V, W, d):
         raise ParameterError(f"order {d} exceeds the partition size {L.shape[0]}")
     if d < 1:
         raise ParameterError("target order must be >= 1")
-    svd = svd_full(L)
-    numrank = int(np.sum(svd.s > EPS_RANK * svd.s[0]))
+    u, sigma, vh = svd_full(L)
+    numrank = int(np.sum(sigma > EPS_RANK * sigma[0]))
     if d > numrank:
         warnings.warn(f"order {d} exceeds the numerical Loewner rank {numrank}")
         if not (L.any() or Ls.any()):
@@ -80,8 +80,8 @@ def _project(L, Ls, V, W, d):
         for M in (np.hstack([L, Ls]), np.vstack([L, Ls])):
             s = singular_values(M)
             d = min(d, int(np.sum(s > EPS_RANK * s[0])))
-    X = svd.u[:, :d]
-    Z = svd.v[:, :d]
+    X = u[:, :d]
+    Z = vh[:d].conj().T
     return LoewnerModel(
         Er=X.conj().T @ L @ Z,
         Ar=X.conj().T @ Ls @ Z,
@@ -114,6 +114,7 @@ def loewner_block(samples, d):
     denom = x[:, None] - y[None, :]
     L = (vx - vy) / denom
     Ls = (x[:, None] * vx - y[None, :] * vy) / denom
+    del vx, vy, denom  # each as large as L: freed before the SVD
     V = lFx  # (ell/2, n)
     W = Fyr.T  # (m, ell/2)
     return _project(L, Ls, V, W, d)

@@ -31,37 +31,39 @@ from tests.oracles import companion_roots
 
 class TestSvdFull:
     def test_identity(self):
-        res = svd_full(np.eye(3))
-        assert np.allclose(res.s, [1, 1, 1])
+        _, s, _ = svd_full(np.eye(3))
+        assert np.allclose(s, [1, 1, 1])
 
     def test_diag_with_zero(self):
-        res = svd_full(np.diag([3.0, 0.0]))
-        assert np.allclose(res.s, [3.0, 0.0])
+        _, s, _ = svd_full(np.diag([3.0, 0.0]))
+        assert np.allclose(s, [3.0, 0.0])
 
     def test_random_orthonormality_and_reconstruction(self):
         rng = np.random.default_rng(0)
         M = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
-        res = svd_full(M)
-        assert np.linalg.norm(res.u.conj().T @ res.u - np.eye(5)) <= 1e-12
-        assert np.linalg.norm(res.v.conj().T @ res.v - np.eye(7)) <= 1e-12
+        u, s, vh = svd_full(M)
+        v = vh.conj().T
+        assert np.linalg.norm(u.conj().T @ u - np.eye(5)) <= 1e-12
+        assert np.linalg.norm(v.conj().T @ v - np.eye(7)) <= 1e-12
         S = np.zeros((5, 7))
-        S[:5, :5] = np.diag(res.s)
-        err = np.linalg.norm(M - res.u @ S @ res.v.conj().T) / np.linalg.norm(M)
+        S[:5, :5] = np.diag(s)
+        err = np.linalg.norm(M - u @ S @ v.conj().T) / np.linalg.norm(M)
         assert err <= 1e-10
 
     def test_large_reconstruction(self):
         rng = np.random.default_rng(3)
         M = rng.normal(size=(200, 120)) + 1j * rng.normal(size=(200, 120))
-        res = svd_full(M)
+        u, s, vh = svd_full(M)
+        v = vh.conj().T
         S = np.zeros((200, 120))
-        S[:120, :120] = np.diag(res.s)
-        err = np.linalg.norm(M - res.u @ S @ res.v.conj().T) / np.linalg.norm(M)
+        S[:120, :120] = np.diag(s)
+        err = np.linalg.norm(M - u @ S @ v.conj().T) / np.linalg.norm(M)
         assert err <= 1e-10
 
     def test_descending_order(self):
         rng = np.random.default_rng(4)
-        res = svd_full(rng.normal(size=(8, 8)))
-        assert np.all(np.diff(res.s) <= 0)
+        _, s, _ = svd_full(rng.normal(size=(8, 8)))
+        assert np.all(np.diff(s) <= 0)
 
 
 class TestTrailingLeftSingularBlock:
@@ -69,10 +71,9 @@ class TestTrailingLeftSingularBlock:
         rng = np.random.default_rng(5)
         M = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
         W = trailing_left_singular_block(M, 1)
-        u = svd_full(M).u
+        u, s, _ = svd_full(M)
         # equal to the trailing left singular vector up to a unimodular factor
         assert abs(abs(np.vdot(u[:, -1], W.conj().ravel())) - 1.0) <= 1e-12
-        s = svd_full(M).s
         assert np.linalg.norm(W @ M) == pytest.approx(s[-1], rel=1e-10)
 
     def test_exact_left_nullspace(self):
@@ -289,21 +290,61 @@ class TestOneThreadWeightSvd:
         assert _openblas_count(setter) == before
 
 
-def _on_one_thread(f, *args):
-    """f(*args) on one OpenBLAS thread where that can be set."""
-    setter = kernels._openblas_thread_setter()
-    if setter is None:
-        return f(*args)
-    with kernels._THREAD_COUNT_LOCK:
-        count = setter(1)
-        try:
-            return f(*args)
-        finally:
-            setter(count)
+def _fake_setter(monkeypatch, count):
+    """Stands in for OpenBLAS's setter, with the process's count `count`; returns its state."""
+    state = {"count": count, "calls": []}
+
+    def setter(k):
+        state["calls"].append(k)
+        old, state["count"] = state["count"], k
+        return old
+
+    monkeypatch.setattr(kernels, "_openblas_thread_setter", lambda: setter)
+    return state
+
+
+class TestOneOpenblasThread:
+    """`kernels._one_openblas_thread`, the one window that limits OpenBLAS to one thread."""
+
+    def test_nested_window_reads_one_and_restores_the_outer_count(self):
+        setter = _setter_or_skip()
+        before = _openblas_count(setter)
+        with kernels._one_openblas_thread():
+            with kernels._one_openblas_thread():
+                assert _openblas_count(setter) == 1
+            assert _openblas_count(setter) == 1
+        assert _openblas_count(setter) == before
+
+    def test_nested_window_restores_each_count(self, monkeypatch):
+        # a count of 7 outside, which the real library at one thread cannot show
+        state = _fake_setter(monkeypatch, 7)
+        with kernels._one_openblas_thread():
+            with kernels._one_openblas_thread():
+                assert state["count"] == 1
+            assert state["count"] == 1
+        assert state["count"] == 7
+        assert state["calls"] == [1, 1, 1, 7]
+
+    def test_count_is_restored_when_the_body_raises(self, monkeypatch):
+        state = _fake_setter(monkeypatch, 7)
+        with pytest.raises(RuntimeError, match="body"):
+            with kernels._one_openblas_thread():
+                raise RuntimeError("body")
+        assert state["count"] == 7
+        assert state["calls"] == [1, 7]
+
+    def test_without_the_setter_the_window_is_a_no_op(self, monkeypatch):
+        setter = _setter_or_skip()
+        before = _openblas_count(setter)
+        monkeypatch.setattr(kernels, "_openblas_thread_setter", lambda: None)
+        with kernels._one_openblas_thread():
+            assert _openblas_count(setter) == before
+        assert _openblas_count(setter) == before
 
 
 def _economy_u_on_one_thread(M):
-    return _on_one_thread(np.linalg.svd, M, False)[0]
+    with kernels._one_openblas_thread():
+        return np.linalg.svd(M, False)[0]
 
 
 def _lq_spy(monkeypatch):
@@ -335,7 +376,8 @@ class TestLqRoute:
         cols = data.draw(st.integers(max(17 * rows // 9 - 1, 1), 1000), label="cols")
         M = _complex_normal(seed, rows, cols)
         u = _economy_u_on_one_thread(M)
-        assert _on_one_thread(kernels._left_singular_vectors, M).tobytes() == u.tobytes()
+        with kernels._one_openblas_thread():
+            assert kernels._left_singular_vectors(M).tobytes() == u.tobytes()
         W = u[:, -1:].conj().T / np.sqrt(1)
         assert trailing_left_singular_block(M, 1).tobytes() == W.tobytes()
 
@@ -378,8 +420,8 @@ class TestLqRoute:
 
     @pytest.mark.parametrize("bad", [np.inf, complex(-np.inf, np.nan)])
     def test_infinite_entry_is_the_svd_error(self, monkeypatch, bad):
-        # zgesdd scales an infinite M by zero and returns NaN without an error,
-        # which `_svd` raises as it raises zgesdd's stop on a NaN entry
+        # zgesdd scales an infinite M by zero and returns NaN without an error;
+        # `_svd` raises before it is reached, as it does on a NaN entry
         calls = _lq_spy(monkeypatch)
         M = _complex_normal(9, 4, 20)
         M[1, 3] = bad
@@ -629,9 +671,10 @@ class TestSingularValues:
         for shape in [(50, 100), (100, 50), (7, 7), (1, 5)]:
             A = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             s = singular_values(A)
-            assert s.shape == svd_full(A).s.shape
+            _, want, _ = svd_full(A)
+            assert s.shape == want.shape
             assert np.all(np.diff(s) <= 0)
-            assert np.abs(s - svd_full(A).s).max() <= 1e-13 * s[0]
+            assert np.abs(s - want).max() <= 1e-13 * s[0]
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ParameterError):
@@ -649,6 +692,14 @@ class TestSingularValues:
         A[0, 0] = complex(0, np.inf)
         with pytest.raises(NumericalError, match=r"shape \(3, 4\)"):
             singular_values(A)
+
+    @pytest.mark.parametrize("svd", [singular_values, svd_full])
+    def test_infinite_matrix_prints_nothing(self, capfd, svd):
+        # zgesdd's scaling of an all-infinite M once printed DLASCL's complaint
+        # to stdout, the stream `blockrat-fit` writes its CSV table to
+        with pytest.raises(NumericalError, match=r"shape \(3, 3\)"):
+            svd(np.full((3, 3), np.inf) + 0j)
+        assert capfd.readouterr() == ("", "")
 
 
 class TestLstsq:
