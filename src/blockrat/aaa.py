@@ -66,8 +66,9 @@ def _greedy_driver(samples, opts, solve_weights, make_model, fallback_weights, r
 
     `loewner` is the C-contiguous (j+1, ell', m, n) `_loewner_tensor` of the
     remaining points and the support points, kept between iterations: a pick
-    drops its row (slice copies) and appends its column, one division per
-    (remaining point, entry), so the entries keep the bits of a full rebuild.
+    drops its row and appends its column, one division per (remaining point,
+    entry), so the entries keep the bits of a full rebuild.  The new tensor
+    is one allocation, filled by one copy of the kept rows and the column.
     """
     points, values = samples.points, samples.values
     threshold = opts.tol * frobenius_norms(values).max()
@@ -106,8 +107,10 @@ def _greedy_driver(samples, opts, solve_weights, make_model, fallback_weights, r
                 model = make_model(points[sel], fallback_weights(len(sel)), values[sel])
             break
         rest = samples.subset(rem)
-        column = _loewner_tensor(rest, points[[pick]], values[[pick]])
-        loewner = np.concatenate([np.delete(loewner, t, axis=1), column])
+        grown = np.empty((j + 1, rem.size) + values.shape[1:], dtype=complex)
+        grown[:j, :t], grown[:j, t:] = loewner[:, :t], loewner[:, t + 1:]
+        grown[j] = _loewner_tensor(rest, points[[pick]], values[[pick]])[0]
+        loewner = grown
         w = solve_weights(rest, points[sel], values[sel], loewner)
         model = make_model(points[sel], w, values[sel])
         if j >= opts.max_order:

@@ -275,15 +275,20 @@ def solve_weights_baryB(samples, nodes, values, loewner=None):
     without a copy.  `loewner`, if given, is that tensor as
     `_loewner_tensor(samples, nodes, values)` returns it; the greedy loop
     passes the one it keeps.
+
+    The matrix is the tensor's one copy, made in zgelqf's column-major
+    layout and factored in place.
     """
     nodes = _distinct(nodes, "support points")
     values = np.asarray(values, dtype=complex)
     _check_disjoint(samples.points, nodes)
     m, n = samples.shape
     L = _loewner_tensor(samples, nodes, values) if loewner is None else loewner  # (d+1, ell, m, n)
-    # stack to m(d+1) x ell*n
-    Lmat = L.transpose(0, 2, 1, 3).reshape(nodes.size * m, samples.ell * n)
-    W = trailing_left_singular_block(Lmat, m)
+    # the m(d+1) x ell*n matrix, rows (k, p) and columns (i, q), stored column
+    # by column; copy(), for ascontiguousarray would hand the kernel the
+    # caller's tensor itself where d = 0 and n = 1
+    Lmat = L.transpose(1, 3, 0, 2).copy().reshape(samples.ell * n, nodes.size * m).T
+    W = trailing_left_singular_block(Lmat, m, overwrite=True)
     return np.stack(np.hsplit(W, nodes.size))
 
 
@@ -292,6 +297,9 @@ def solve_weights_baryC(samples, nodes):
 
     Restricted to square samples (m == n); the stacked identity blocks in the
     linearized problem do not have well-defined dimensions otherwise.
+
+    The matrix is written once, in zgelqf's column-major layout, and
+    factored in place.
     """
     m, n = samples.shape
     if m != n:
@@ -301,10 +309,15 @@ def solve_weights_baryC(samples, nodes):
     d1 = nodes.size
     ell = samples.ell
     inv = 1.0 / (samples.points[None, :] - nodes[:, None])  # (d+1, ell)
-    # (k, i) blocks -inv[k, i] * I and inv[k, i] * F(lambda_i)
-    top = ((-inv)[:, None, :, None] * np.eye(n)[None, :, None, :]).reshape(d1 * n, ell * n)
-    bot = (inv[:, None, :, None] * samples.values.transpose(1, 0, 2)[None]).reshape(d1 * m, ell * n)
-    W = trailing_left_singular_block(np.vstack([top, bot]), m)
+    # the matrix [top; bottom] with (k, i) blocks -inv[k, i] * I on top and
+    # inv[k, i] * F(lambda_i) below, stored column by column: its column
+    # (i, q) and row (s, k, p) is A[i, q, s, k, p], s = 0 on top.  Both
+    # factors of each product have A's ndim, for the reason given in
+    # ScalarBarycentric.__call__
+    A = np.empty((ell, n, 2, d1, n), dtype=complex)
+    np.multiply((-inv).T[:, None, None, :, None], np.eye(n)[None, :, None, None, :], out=A[:, :, :1])
+    np.multiply(inv.T[:, None, None, :, None], samples.values.transpose(0, 2, 1)[:, :, None, None, :], out=A[:, :, 1:])
+    W = trailing_left_singular_block(A.reshape(ell * n, 2 * d1 * n).T, m, overwrite=True)
     C = np.stack([W[:, k * n : (k + 1) * n] for k in range(d1)])
     D = np.stack([W[:, d1 * n + k * m : d1 * n + (k + 1) * m] for k in range(d1)])
     return BlockBaryC(nodes, C, D)

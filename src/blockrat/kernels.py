@@ -146,11 +146,17 @@ def _one_openblas_thread():
 LQ_RANGE = (1e-100, 1e100)
 
 
-def trailing_left_singular_block(M, m):
+def trailing_left_singular_block(M, m, overwrite=False):
     """The m left singular vectors for the m smallest singular values, as rows.
 
     Returns W of shape (m, rows(M)), scaled to unit Frobenius norm.  Among all
     unit-Frobenius-norm W with orthonormal rows this minimizes ||W @ M||_F.
+
+    By default M is left as it was.  With `overwrite=True` M may be
+    destroyed: a writeable, aligned, Fortran-contiguous complex M that takes
+    the LQ route below is factored in place, where zgelqf would otherwise
+    get a copy.  Any other M, and the SVD route, are copied as by default.
+    W has the same bits either way.
 
     Only U is read, and for a wide M the economy SVD also forms the rows x
     cols matrix V*.  A wide M from cols >= floor(17 rows / 9) on (zgesdd's
@@ -185,34 +191,38 @@ def trailing_left_singular_block(M, m):
     if M.shape[0] % m != 0:
         raise ParameterError(f"block height {m} does not divide {M.shape[0]} rows")
     with _one_openblas_thread():
-        u = _left_singular_vectors(M)
+        u = _left_singular_vectors(M, overwrite)
     return u[:, -m:].conj().T / np.sqrt(m)
 
 
-def _left_singular_vectors(M):
+def _left_singular_vectors(M, overwrite=False):
     """U of the SVD of M, full for a tall M and economy otherwise, through L
     where `trailing_left_singular_block` says."""
     rows, cols = M.shape
     if rows < cols and cols >= 17 * rows // 9 and _zgelqf() is not None:
         # a NaN fails both comparisons, and an empty M's largest entry is 0
         if LQ_RANGE[0] <= np.abs(M).max(initial=0) <= LQ_RANGE[1]:
-            return _svd(_lq_factor(M), False)[0]
+            return _svd(_lq_factor(M, overwrite), False)[0]
     return _svd(M, rows > cols)[0]
 
 
-def _lq_factor(M):
+def _lq_factor(M, overwrite=False):
     """The lower-triangular L of M = L Q, for rows <= cols, by `_zgelqf`.
 
     zgelqf is called as zgesdd calls it: after a workspace query, with the
     optimal workspace, which sets the block size of its blocked Householder
-    steps.  It overwrites its Fortran-ordered copy of M with L on and below
-    the diagonal and Q's reflectors elsewhere; L is returned with zeros
-    above the diagonal, as zgesdd copies it.  Raises `NumericalError` when
-    zgelqf reports a nonzero INFO.
+    steps.  It overwrites its Fortran-ordered copy of the complex M, or with
+    `overwrite` a writeable, aligned, Fortran-contiguous M itself, with L on
+    and below the diagonal and Q's reflectors elsewhere.  L is returned as a
+    view of that array with zeros above the diagonal, as zgesdd copies it;
+    they are written in place one column at a time, for `np.tril`'s masked
+    copy costs more on the smallest L.  Raises `NumericalError` when zgelqf
+    reports a nonzero INFO.
     """
     rows, cols = M.shape
     zgelqf = _zgelqf()
-    A = np.array(M, order="F")
+    in_place = overwrite and M.flags.f_contiguous and M.flags.writeable and M.flags.aligned
+    A = M if in_place else np.array(M, order="F")
     tau = np.empty(rows, dtype=complex)
     m, n, lwork, info = (ctypes.c_int64(k) for k in (rows, cols, -1, 0))
     head = (ctypes.byref(m), ctypes.byref(n), A.ctypes.data, ctypes.byref(m), tau.ctypes.data)
@@ -223,7 +233,10 @@ def _lq_factor(M):
     zgelqf(*head, work.ctypes.data, ctypes.byref(lwork), ctypes.byref(info))
     if info.value:
         raise NumericalError(f"LQ factorization failed for shape {M.shape}: zgelqf info={info.value}")
-    return np.tril(A[:, :rows])
+    L = A[:, :rows]
+    for j in range(1, rows):
+        L[:j, j] = 0
+    return L
 
 
 def trailing_right_singular_vector(A):

@@ -2,8 +2,11 @@
 
 The first two are independent of the pencil linearization they check: the
 matrix polynomial N(z) evaluated term by term, and polynomial roots from
-numpy's companion matrix.  The last two are the plain loops that
-`vecfit._dedupe` and `rkfit._leja_indices` must match byte for byte.
+numpy's companion matrix.  The next two are the plain loops that
+`vecfit._dedupe` and `rkfit._leja_indices` must match byte for byte.  The
+last three are the earlier assemblies of the weight matrices and of the
+greedy loop's Loewner tensor, each built from temporaries, whose entries the
+single-copy assemblies in `barycentric` and `aaa` must match byte for byte.
 """
 
 import numpy as np
@@ -53,3 +56,23 @@ def leja_indices_prod(points, count):
         dist = np.prod(np.abs(points[:, None] - points[chosen][None, :]), axis=1)
         chosen.append(int(np.argmax(dist)))
     return np.array(chosen)
+
+
+def baryC_matrix_stacked(samples, nodes):
+    """bary-C's matrix [top; bottom], its two halves formed apart and then stacked."""
+    d1, ell, n = nodes.size, samples.ell, samples.shape[1]
+    inv = 1.0 / (samples.points[None, :] - nodes[:, None])
+    top = ((-inv)[:, None, :, None] * np.eye(n)[None, :, None, :]).reshape(d1 * n, ell * n)
+    bot = (inv[:, None, :, None] * samples.values.transpose(1, 0, 2)[None]).reshape(d1 * n, ell * n)
+    return np.vstack([top, bot])
+
+
+def baryB_matrix_reshaped(loewner):
+    """bary-B's m(d+1) x ell*n matrix, the transposed reshape of the (d+1, ell, m, n) tensor."""
+    d1, ell, m, n = loewner.shape
+    return loewner.transpose(0, 2, 1, 3).reshape(d1 * m, ell * n)
+
+
+def loewner_grown_by_concatenation(loewner, t, column):
+    """The greedy loop's tensor without remaining point t, with the (1, ell - 1, m, n) column appended."""
+    return np.concatenate([np.delete(loewner, t, axis=1), column])

@@ -209,7 +209,8 @@ class TestSolveWeightsBaryB:
         s, nodes, values = toy2.samples.subset(range(3, 40)), toy2.samples.points[:3], toy2.samples.values[:3]
         seen = []
         solve = bary.trailing_left_singular_block
-        monkeypatch.setattr(bary, "trailing_left_singular_block", lambda M, m: seen.append(solve(M, m)) or seen[-1])
+        monkeypatch.setattr(bary, "trailing_left_singular_block",
+                            lambda M, m, overwrite=False: seen.append(solve(M, m, overwrite)) or seen[-1])
         W = solve_weights_baryB(s, nodes, values)
         assert W.shape == (3, 2, 2)
         # one block after another, each stored column by column as the kernel
@@ -250,7 +251,9 @@ class TestSolveWeightsBaryC:
         s, nodes = toy2.samples.subset(range(3, 40)), toy2.samples.points[:3]
         seen = []
         solve = bary.trailing_left_singular_block
-        monkeypatch.setattr(bary, "trailing_left_singular_block", lambda M, m: seen.append(M) or solve(M, m))
+        # M is recorded before the kernel may factor it in place
+        monkeypatch.setattr(bary, "trailing_left_singular_block",
+                            lambda M, m, overwrite=False: seen.append(M.copy()) or solve(M, m, overwrite))
         solve_weights_baryC(s, nodes)
         inv = 1.0 / (s.points[None, :] - nodes[:, None])
         top = np.zeros((3 * 2, s.ell * 2), dtype=complex)

@@ -351,7 +351,7 @@ def _lq_spy(monkeypatch):
     """Records the shape of each M that `_lq_factor`, so the LQ route, factors."""
     calls = []
     lq_factor = kernels._lq_factor
-    monkeypatch.setattr(kernels, "_lq_factor", lambda M: calls.append(M.shape) or lq_factor(M))
+    monkeypatch.setattr(kernels, "_lq_factor", lambda M, overwrite=False: calls.append(M.shape) or lq_factor(M, overwrite))
     return calls
 
 
@@ -476,6 +476,55 @@ class TestLqRoute:
         with pytest.raises(NumericalError, match=r"shape \(4, 100\): zgelqf info=-7"):
             trailing_left_singular_block(_complex_normal(13, 4, 100), 2)
         assert _openblas_count(setter) == before
+
+
+def _read_only(M):
+    M.flags.writeable = False
+    return M
+
+
+# a wide M, which takes the LQ route, in either order, and a square and a
+# tall one, which take the SVD of M
+LAYOUTS = {
+    "wide C-ordered": lambda: _complex_normal(14, 6, 80),
+    "wide Fortran-ordered": lambda: np.asfortranarray(_complex_normal(14, 6, 80)),
+    "square Fortran-ordered": lambda: np.asfortranarray(_complex_normal(15, 6, 6)),
+    "tall Fortran-ordered": lambda: np.asfortranarray(_complex_normal(16, 80, 6)),
+}
+
+
+class TestOverwrite:
+    """`overwrite=True` may factor a writeable, Fortran-contiguous complex M in place, with W's bits."""
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_default_leaves_M_as_it_was(self, layout):
+        M = LAYOUTS[layout]()
+        before = M.copy()
+        trailing_left_singular_block(M, 2)
+        assert M.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: _complex_normal(17, 6, 80),
+        lambda: _read_only(np.asfortranarray(_complex_normal(17, 6, 80))),
+        lambda: np.asfortranarray(_complex_normal(17, 6, 80).real),
+        LAYOUTS["square Fortran-ordered"],
+        LAYOUTS["tall Fortran-ordered"],
+    ], ids=["C-ordered", "read-only", "real", "square", "tall"])
+    def test_any_other_M_is_copied_not_written(self, make):
+        M = make()
+        before = M.copy()
+        want = trailing_left_singular_block(before, 2)
+        assert trailing_left_singular_block(M, 2, overwrite=True).tobytes() == want.tobytes()
+        assert M.tobytes() == before.tobytes()
+
+    def test_a_fortran_ordered_complex_M_is_factored_in_place_with_the_default_bytes(self):
+        if kernels._zgelqf() is None:
+            pytest.skip("numpy's linalg has no bundled OpenBLAS with zgelqf")
+        M = LAYOUTS["wide Fortran-ordered"]()
+        before = M.copy()
+        want = trailing_left_singular_block(before, 2)
+        assert trailing_left_singular_block(M, 2, overwrite=True).tobytes() == want.tobytes()
+        assert M.tobytes() != before.tobytes()
 
 
 class TestTrailingRightSingularVector:
