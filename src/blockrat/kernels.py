@@ -6,12 +6,14 @@ singularity-checked solve every matrix model evaluates with, and (alpha,
 beta) generalized eigenvalue pairs.
 
 Everything here runs on numpy and on the OpenBLAS that numpy's wheel
-bundles.  numpy has no QZ, so `gen_eig` calls that library's LAPACK
-`zggev` through `ctypes`, as the weight SVD calls its `zgelqf`: blockrat
-loads no second OpenBLAS, with a thread count of its own.  Only where numpy
-links another BLAS (MKL, Accelerate, a system library) or a bundled
-OpenBLAS without `zggev` does `gen_eig` fall back to `scipy.linalg.eig`,
-from the optional `scipy` extra.
+bundles.  Three LAPACK routines of that library are called through
+`ctypes`: `zggev`, for numpy has no QZ; `zgelqf`, for the weight SVD; and
+`zgesdd`, which `svd_full` calls as `np.linalg.svd` does but without its
+copies.  blockrat loads no second OpenBLAS, with a thread count of its own.
+Where numpy links another BLAS (MKL, Accelerate, a system library) or a
+bundled OpenBLAS lacks a routine, `gen_eig` falls back to
+`scipy.linalg.eig`, from the optional `scipy` extra, the weight SVD to the
+SVD of the matrix itself, and `svd_full` to `np.linalg.svd`.
 
 `solve_checked`, `trailing_right_singular_vector` and `singular_values`
 skip work their callers never read, and keep LAPACK's bits.  The weight SVD
@@ -51,25 +53,78 @@ __all__ = [
 
 
 def _svd(M, full_matrices, compute_uv=True):
-    """The SVD of M as a complex matrix: the one SVD call of the package."""
+    """The SVD of M as a complex matrix through `np.linalg.svd`."""
+    M = _svd_input(M)
+    try:
+        usv = np.linalg.svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"SVD did not converge for shape {M.shape}: {e}") from e
+    _check_singular_values(usv[1] if compute_uv else usv, M.shape)
+    return usv
+
+
+def _svd_input(M):
+    """M as a complex matrix, checked as every SVD here checks it before LAPACK is reached."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.size == 0:
         raise ParameterError("cannot take the SVD of an empty matrix")
     if not np.isfinite(M).all():  # zgesdd would print DLASCL's complaint to stdout on an infinite entry
         raise NumericalError(f"SVD did not converge for shape {M.shape}: non-finite entry")
-    try:
-        usv = np.linalg.svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"SVD did not converge for shape {M.shape}: {e}") from e
-    # a finite M whose singular values overflow
-    if not np.isfinite(usv[1] if compute_uv else usv).all():
-        raise NumericalError(f"SVD did not converge for shape {M.shape}: non-finite singular values")
-    return usv
+    return M
+
+
+def _check_singular_values(s, shape):
+    """Raise where the singular values of a finite matrix overflowed."""
+    if not np.isfinite(s).all():
+        raise NumericalError(f"SVD did not converge for shape {shape}: non-finite singular values")
 
 
 def svd_full(M):
-    """(u, s, vh) of the full SVD of M, as `np.linalg.svd` returns them."""
-    return _svd(M, True)
+    """(u, s, vh) of the full SVD of M, with the bits of `np.linalg.svd(M)`.
+
+    numpy's SVD holds a copy of M, U, V* and zgesdd's real workspace in one
+    buffer and then copies U and V* out once more.  Here `_zgesdd` is called
+    as numpy calls it: JOBZ = 'A', after a workspace query, with the LWORK
+    that query returns, at the process's thread count.  It writes U, s and
+    V* straight into the arrays returned, so u and vh are Fortran-ordered,
+    and the only copy of M is the one it destroys.  Where `_zgesdd` is
+    None, `np.linalg.svd` itself runs.  An empty M raises `ParameterError`,
+    and a non-finite one `NumericalError`, before LAPACK is reached.
+
+    RWORK has the length zgesdd documents for JOBZ = 'A' with mn and mx
+    the smaller and larger side, max(5 mn^2 + 7 mn, 2 mx mn + 2 mn^2 + mn),
+    where 7 mn covers LAPACK before 3.7: about half of numpy's, which counts
+    complex entries.  zgesdd takes no LRWORK, so the length cannot enter
+    its arithmetic.  numpy's length is 5 MB at 250 x 250, and numpy asks the
+    kernel for transparent huge pages on an array from 4 MiB on: the part
+    LAPACK touches then came in 2 MB pages, which moved the benchmark's
+    peak RSS by up to 2 MB from run to run.
+    """
+    zgesdd = _zgesdd()
+    if zgesdd is None:
+        return _svd(M, True)
+    M = _svd_input(M)
+    rows, cols = M.shape
+    k = min(rows, cols)
+    A = np.array(M, order="F")
+    s = np.empty(k)
+    u = np.empty((rows, rows), dtype=complex, order="F")
+    vh = np.empty((cols, cols), dtype=complex, order="F")
+    rwork = np.empty(max(5 * k * k + 7 * k, 2 * max(rows, cols) * k + 2 * k * k + k))
+    iwork = np.empty(8 * k, dtype=np.int64)
+    work = np.empty(1, dtype=complex)
+    m, n, lwork, info = (ctypes.c_int64(i) for i in (rows, cols, -1, 0))
+    ROWS, COLS = ctypes.byref(m), ctypes.byref(n)
+    head = (b"A", ROWS, COLS, A.ctypes.data, ROWS, s.ctypes.data, u.ctypes.data, ROWS, vh.ctypes.data, COLS)
+    tail = (ctypes.byref(lwork), rwork.ctypes.data, iwork.ctypes.data, ctypes.byref(info), 1)
+    zgesdd(*head, work.ctypes.data, *tail)  # lwork -1: a query
+    lwork.value = max(int(work[0].real), 1)  # numpy's guard against a zero answer
+    work = np.empty(lwork.value, dtype=complex)
+    zgesdd(*head, work.ctypes.data, *tail)
+    if info.value:
+        raise NumericalError(f"SVD did not converge for shape {M.shape}: zgesdd info={info.value}")
+    _check_singular_values(s, M.shape)
+    return u, s, vh
 
 
 def singular_values(M):
@@ -111,6 +166,15 @@ def _zgelqf():
     arguments (M, N, A, LDA, TAU, WORK, LWORK, INFO) are all pointers.
     """
     return _openblas_function("scipy_zgelqf_64_", None, *[ctypes.c_void_p] * 8)
+
+
+def _zgesdd():
+    """LAPACK's zgesdd from the OpenBLAS of `_zgelqf`, `scipy_zgesdd_64_`, or None.
+
+    Its 15 arguments (JOBZ, M, N, A, LDA, S, U, LDU, VT, LDVT, WORK, LWORK,
+    RWORK, IWORK, INFO) are pointers; the Fortran length of the string JOBZ
+    follows."""
+    return _openblas_function("scipy_zgesdd_64_", None, *[ctypes.c_void_p] * 15, ctypes.c_size_t)
 
 
 # OpenBLAS's thread count is one per process: this lock keeps two threads from
@@ -199,11 +263,28 @@ def _left_singular_vectors(M, overwrite=False):
     """U of the SVD of M, full for a tall M and economy otherwise, through L
     where `trailing_left_singular_block` says."""
     rows, cols = M.shape
-    if rows < cols and cols >= 17 * rows // 9 and _zgelqf() is not None:
-        # a NaN fails both comparisons, and an empty M's largest entry is 0
-        if LQ_RANGE[0] <= np.abs(M).max(initial=0) <= LQ_RANGE[1]:
-            return _svd(_lq_factor(M, overwrite), False)[0]
+    if rows < cols and cols >= 17 * rows // 9 and _zgelqf() is not None and _in_lq_range(M):
+        return _svd(_lq_factor(M, overwrite), False)[0]
     return _svd(M, rows > cols)[0]
+
+
+def _in_lq_range(M):
+    """Whether M's largest |entry| lies in `LQ_RANGE`.
+
+    Decided from the largest |real or imaginary part| p, which allocates
+    nothing for a contiguous M: the largest |entry| lies between p and
+    sqrt(2) p, so |M| is formed only where p or sqrt(2) p falls in the
+    window and the other does not.  A NaN fails every comparison, and an
+    empty M's p is 0.
+    """
+    parts = M.ravel(order="K").view(float)
+    p = np.maximum(parts.max(initial=0), -parts.min(initial=0))
+    low, high = LQ_RANGE
+    if low <= p and np.sqrt(2) * p <= high:
+        return True
+    if p > high or np.sqrt(2) * p < low:
+        return False
+    return bool(low <= np.abs(M).max(initial=0) <= high)
 
 
 def _lq_factor(M, overwrite=False):
@@ -292,7 +373,9 @@ def _surely_well_conditioned(S):
     N, k = S.shape[:2]
     parts = np.ascontiguousarray(S, dtype=complex).view(float)  # real and imaginary parts side by side
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        A = (parts * (1 / np.abs(parts).max(axis=(1, 2)))[:, None, None]).view(complex)
+        # the largest |part| of each block, without an |S| temporary; a NaN turns both NaN
+        top = np.maximum(parts.max(axis=(1, 2)), -parts.min(axis=(1, 2)))
+        A = (parts * (1 / top)[:, None, None]).view(complex)
         fro2 = _fro2(A)
         if k == 2:
             det = np.abs(A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0])
@@ -301,10 +384,12 @@ def _surely_well_conditioned(S):
             Y = np.linalg.inv(A)
         except np.linalg.LinAlgError:
             return np.zeros(N, dtype=bool)
+        fro2 *= _fro2(Y)
         E = A @ Y
+        del A, Y  # each as large as S: freed once their norms are read
         E[:, np.arange(k), np.arange(k)] -= 1  # E = S Y - I
         r = np.sqrt(_fro2(E))
-        return (r <= 0.5) & (fro2 * _fro2(Y) <= ((1 - r) * (COND_LIMIT / 100)) ** 2)
+        return (r <= 0.5) & (fro2 <= ((1 - r) * (COND_LIMIT / 100)) ** 2)
 
 
 def _fro2(M):
@@ -320,12 +405,15 @@ def solve_checked(S, T):
     not finite, the block is NaN instead: a model evaluated there is not
     evaluable.  `np.linalg.cond` is a full SVD per block, so it sees only
     the finite blocks that `_surely_well_conditioned` cannot clear; a block
-    with a non-finite entry reaches neither it nor the solve.
+    with a non-finite entry reaches neither it nor the solve.  Where every
+    block is cleared, the stacks are solved as they are, without copies.
     """
-    X = np.full(T.shape, np.nan, dtype=complex)
     ok = np.isfinite(S).all(axis=(1, 2))
     unsure = ok & ~_surely_well_conditioned(S)
     ok[unsure] = np.linalg.cond(S[unsure]) <= COND_LIMIT
+    if ok.all():
+        return np.linalg.solve(S, T).astype(complex, copy=False)
+    X = np.full(T.shape, np.nan, dtype=complex)
     X[ok] = np.linalg.solve(S[ok], T[ok])
     return X
 

@@ -64,8 +64,6 @@ def partition(points, values):
 
 
 def _project(L, Ls, V, W, d):
-    if d > L.shape[0]:
-        raise ParameterError(f"order {d} exceeds the partition size {L.shape[0]}")
     if d < 1:
         raise ParameterError("target order must be >= 1")
     u, sigma, vh = svd_full(L)
@@ -80,14 +78,10 @@ def _project(L, Ls, V, W, d):
         for M in (np.hstack([L, Ls]), np.vstack([L, Ls])):
             s = singular_values(M)
             d = min(d, int(np.sum(s > EPS_RANK * s[0])))
-    X = u[:, :d]
-    Z = vh[:d].conj().T
-    return LoewnerModel(
-        Er=X.conj().T @ L @ Z,
-        Ar=X.conj().T @ Ls @ Z,
-        Br=X.conj().T @ V,
-        Cr=W @ Z,
-    )
+    # C-ordered copies, as numpy's SVD returns its factors: matmul rounds by layout
+    Xh = np.ascontiguousarray(u[:, :d]).conj().T
+    Z = np.ascontiguousarray(vh[:d]).conj().T
+    return LoewnerModel(Er=Xh @ L @ Z, Ar=Xh @ Ls @ Z, Br=Xh @ V, Cr=W @ Z)
 
 
 def loewner_scalar(points, values, d):
@@ -100,7 +94,8 @@ def loewner_block(samples, d):
 
     The left and right direction vectors cycle through the standard basis
     vectors, one per partition point.  An order above the numerical rank of
-    the Loewner pencil is lowered to that rank, with a warning.
+    the Loewner pencil, the partition size among them, is lowered to that
+    rank, with a warning.
     """
     m, n = samples.shape
     left, right = partition(samples.points, samples.values)
@@ -112,9 +107,14 @@ def loewner_block(samples, d):
     vx = np.einsum("in,jn->ij", lFx, rdir)  # l_i* F(x_i) r_j
     vy = np.einsum("jm,im->ij", Fyr, ldir.conj())  # l_i* F(y_j) r_j
     denom = x[:, None] - y[None, :]
-    L = (vx - vy) / denom
-    Ls = (x[:, None] * vx - y[None, :] * vy) / denom
-    del vx, vy, denom  # each as large as L: freed before the SVD
+    # L = (vx - vy) / denom and Ls = (x vx - y vy) / denom, in place: Ls is written over vx
+    L = np.subtract(vx, vy)
+    np.divide(L, denom, out=L)
+    np.multiply(x[:, None], vx, out=vx)
+    np.multiply(y[None, :], vy, out=vy)
+    Ls = np.subtract(vx, vy, out=vx)
+    np.divide(Ls, denom, out=Ls)
+    del vx, vy, denom  # vy and denom are as large as L: freed before the SVD
     V = lFx  # (ell/2, n)
     W = Fyr.T  # (m, ell/2)
     return _project(L, Ls, V, W, d)

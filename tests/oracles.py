@@ -4,14 +4,22 @@ The first two are independent of the pencil linearization they check: the
 matrix polynomial N(z) evaluated term by term, and polynomial roots from
 numpy's companion matrix.  The next two are the plain loops that
 `vecfit._dedupe` and `rkfit._leja_indices` must match byte for byte.  The
-last three are the earlier assemblies of the weight matrices and of the
+next three are the earlier assemblies of the weight matrices and of the
 greedy loop's Loewner tensor, each built from temporaries, whose entries the
 single-copy assemblies in `barycentric` and `aaa` must match byte for byte.
+The last three are the singularity-checked solve as a per-block loop and
+the earlier Loewner fit and evaluation, its pencil built from temporaries
+and factored by `np.linalg.svd`, which `kernels` and `loewner` must match
+byte for byte.
 """
+
+import warnings
 
 import numpy as np
 
 from blockrat.core import ParameterError
+from blockrat.kernels import COND_LIMIT
+from blockrat.loewner import EPS_RANK, partition
 
 EPS_TRIM = 1e-13  # trailing polynomial coefficients below this (relative) are dropped
 
@@ -76,3 +84,44 @@ def baryB_matrix_reshaped(loewner):
 def loewner_grown_by_concatenation(loewner, t, column):
     """The greedy loop's tensor without remaining point t, with the (1, ell - 1, m, n) column appended."""
     return np.concatenate([np.delete(loewner, t, axis=1), column])
+
+
+def cond_then_solve(S, T):
+    """NaN unless S_i is finite with np.linalg.cond(S_i) <= COND_LIMIT, S_i^-1 T_i otherwise."""
+    X = np.full(T.shape, np.nan, dtype=complex)
+    for i in range(len(S)):
+        if np.isfinite(S[i]).all() and np.linalg.cond(S[i]) <= COND_LIMIT:
+            X[i] = np.linalg.solve(S[i], T[i])
+    return X
+
+
+def loewner_block_with_temporaries(samples, d):
+    """(Er, Ar, Br, Cr) of an order-d tangential Loewner fit: the pencil from
+    temporaries, its SVD and the cap's singular values by `np.linalg.svd`."""
+    m, n = samples.shape
+    left, right = partition(samples.points, samples.values)
+    cycle = np.arange(left.ell)
+    ldir, rdir = np.eye(m, dtype=complex)[cycle % m], np.eye(n, dtype=complex)[cycle % n]
+    x, y = left.points, right.points
+    lFx = np.einsum("im,imn->in", ldir.conj(), left.values)
+    Fyr = np.einsum("jmn,jn->jm", right.values, rdir)
+    vx = np.einsum("in,jn->ij", lFx, rdir)
+    vy = np.einsum("jm,im->ij", Fyr, ldir.conj())
+    denom = x[:, None] - y[None, :]
+    L = (vx - vy) / denom
+    Ls = (x[:, None] * vx - y[None, :] * vy) / denom
+    u, sigma, vh = np.linalg.svd(L)
+    if d > int(np.sum(sigma > EPS_RANK * sigma[0])):
+        warnings.warn(f"order {d} exceeds the numerical Loewner rank")
+        for M in (np.hstack([L, Ls]), np.vstack([L, Ls])):
+            s = np.linalg.svd(M, full_matrices=False, compute_uv=False)
+            d = min(d, int(np.sum(s > EPS_RANK * s[0])))
+    X = u[:, :d]
+    Z = vh[:d].conj().T
+    return X.conj().T @ L @ Z, X.conj().T @ Ls @ Z, X.conj().T @ lFx, Fyr.T @ Z
+
+
+def loewner_values(Er, Ar, Br, Cr, z):
+    """Cr (Ar - z Er)^-1 Br at each point of z, solved by `cond_then_solve`."""
+    S = Ar - z[:, None, None] * Er[None]
+    return Cr @ cond_then_solve(S, np.broadcast_to(Br, z.shape + Br.shape))

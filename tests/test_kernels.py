@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from blockrat.kernels import (
     trailing_left_singular_block,
     trailing_right_singular_vector,
 )
-from tests.oracles import companion_roots
+from tests.oracles import companion_roots, cond_then_solve
 
 
 class TestSvdFull:
@@ -64,6 +65,69 @@ class TestSvdFull:
         rng = np.random.default_rng(4)
         _, s, _ = svd_full(rng.normal(size=(8, 8)))
         assert np.all(np.diff(s) <= 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["square", "tall", "wide"]),
+        st.integers(1, 300),
+        st.integers(0, 299),
+        st.floats(-300, 300),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_bytes_of_numpy_svd(self, kind, side, other, log10_scale, seed, fallback):
+        """zgesdd writing into the outputs, or `np.linalg.svd` where the library
+        has no zgesdd, gives `np.linalg.svd(M)` byte for byte."""
+        rows, cols = {"square": (side, side), "tall": (side + other, side), "wide": (side, side + other)}[kind]
+        rows, cols = min(rows, 300), min(cols, 300)
+        M = _complex_normal(seed, rows, cols) * 10.0**log10_scale
+        want = np.linalg.svd(M)
+        with pytest.MonkeyPatch.context() as patch:
+            if fallback:
+                patch.setattr(kernels, "_openblas_function", lambda *args: None)
+            got = svd_full(M)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_zgesdd_writes_the_outputs(self, monkeypatch):
+        zgesdd = kernels._zgesdd()
+        if zgesdd is None:  # CI fails when it is missing, so this cannot pass there on the fallback
+            pytest.skip("numpy's linalg has no bundled OpenBLAS with zgesdd")
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0])
+            zgesdd(*args)
+
+        monkeypatch.setattr(kernels, "_zgesdd", lambda: spy)
+        u, s, vh = svd_full(_complex_normal(5, 6, 9))
+        assert calls == [b"A", b"A"]  # the workspace query, then the SVD
+        assert u.flags.f_contiguous and vh.flags.f_contiguous
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_nonfinite_entry_raises_before_lapack(self, monkeypatch, bad):
+        def unreachable(*args):
+            raise AssertionError("zgesdd reached")
+
+        monkeypatch.setattr(kernels, "_zgesdd", lambda: unreachable)
+        M = _complex_normal(6, 4, 3)
+        M[2, 1] = bad
+        with pytest.raises(NumericalError, match=r"SVD did not converge for shape \(4, 3\): non-finite entry"):
+            svd_full(M)
+        with pytest.raises(ParameterError):
+            svd_full(np.zeros((0, 3)))
+
+    def test_nonzero_info_raises(self, monkeypatch):
+        zgesdd = kernels._zgesdd()
+        if zgesdd is None:
+            pytest.skip("numpy's linalg has no bundled OpenBLAS with zgesdd")
+
+        def failing(*args):
+            zgesdd(*args)
+            args[14]._obj.value = 3  # INFO, passed by reference
+
+        monkeypatch.setattr(kernels, "_zgesdd", lambda: failing)
+        with pytest.raises(NumericalError, match=r"shape \(5, 5\): zgesdd info=3"):
+            svd_full(_complex_normal(7, 5, 5))
 
 
 class TestTrailingLeftSingularBlock:
@@ -493,6 +557,50 @@ LAYOUTS = {
 }
 
 
+class TestLqRangeCheck:
+    """`_in_lq_range` is the test `LOW <= max|M| <= HIGH`, without forming |M| away from the edges."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([-100, 100]), st.floats(-1, 1), st.booleans())
+    def test_is_the_exact_test(self, seed, edge, offset, fortran):
+        # the largest |entry| within a factor 10 of either edge of the window
+        M = _complex_normal(seed, 5, 12) * 10.0 ** (edge + offset)
+        if fortran:
+            M = np.asfortranarray(M)
+        low, high = kernels.LQ_RANGE
+        assert kernels._in_lq_range(M) == (low <= np.abs(M).max() <= high)
+
+    @pytest.mark.parametrize("edge", [0, 1])
+    def test_sqrt2_band(self, edge):
+        # a part just inside the window; the entry a (1 + i) is sqrt(2) a, and a alone is a
+        bound = kernels.LQ_RANGE[edge]
+        a = bound * (0.8 if edge == 0 else 1.0)
+        diagonal, real = np.full((2, 8), a * (1 + 1j)), np.full((2, 8), a + 0j)
+        assert kernels._in_lq_range(diagonal) == (edge == 0)
+        assert kernels._in_lq_range(real) == (edge == 1)
+
+    @pytest.mark.parametrize("make", [lambda M: M, np.asfortranarray])
+    def test_inside_the_window_no_array_is_formed(self, make):
+        M = make(_complex_normal(16, 64, 2000))  # 2 MB
+        tracemalloc.start()
+        try:
+            assert kernels._in_lq_range(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(0, np.nan), np.inf])
+    def test_nonfinite_entry_fails(self, bad):
+        M = _complex_normal(17, 3, 9)
+        M[1, 4] = bad
+        assert not kernels._in_lq_range(M)
+
+    def test_empty_and_zero_fail(self):
+        assert not kernels._in_lq_range(np.zeros((0, 4), dtype=complex))
+        assert not kernels._in_lq_range(np.zeros((2, 4), dtype=complex))
+
+
 class TestOverwrite:
     """`overwrite=True` may factor a writeable, Fortran-contiguous complex M in place, with W's bits."""
 
@@ -572,15 +680,6 @@ class TestTrailingRightSingularVector:
         assert trailing_right_singular_vector(A).tobytes() == want.tobytes()
 
 
-def _cond_then_solve(S, T):
-    """The reference: NaN unless S_i is finite with np.linalg.cond(S_i) <= COND_LIMIT."""
-    X = np.full(T.shape, np.nan, dtype=complex)
-    for i in range(len(S)):
-        if np.isfinite(S[i]).all() and np.linalg.cond(S[i]) <= COND_LIMIT:
-            X[i] = np.linalg.solve(S[i], T[i])
-    return X
-
-
 def _unitary(rng, k):
     return np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))[0]
 
@@ -610,7 +709,7 @@ class TestSolveChecked:
         bad[:, 0, -1] = [np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1)]
         S = rng.permutation(np.concatenate([S, special, bad]))
         T = rng.normal(size=(len(S), k, n)) + 1j * rng.normal(size=(len(S), k, n))
-        assert solve_checked(S, T).tobytes() == _cond_then_solve(S, T).tobytes()
+        assert solve_checked(S, T).tobytes() == cond_then_solve(S, T).tobytes()
 
     def test_singular_slice_is_nan_and_the_rest_solve(self):
         rng = np.random.default_rng(13)
@@ -673,7 +772,7 @@ class TestKxkScreen:
             blocks.append(bad)
         S = rng.permutation(np.concatenate(blocks))
         T = rng.normal(size=(len(S), k, n)) + 1j * rng.normal(size=(len(S), k, n))
-        assert solve_checked(S, T).tobytes() == _cond_then_solve(S, T).tobytes()
+        assert solve_checked(S, T).tobytes() == cond_then_solve(S, T).tobytes()
 
     @pytest.mark.parametrize("k", [3, 4, 8, 15])  # at k = 1 the one singular block is zero, which turns NaN
     def test_one_exactly_singular_block(self, k):
@@ -685,7 +784,7 @@ class TestKxkScreen:
             np.linalg.inv(S)
         assert not _surely_well_conditioned(S).any()
         X = solve_checked(S, T)
-        assert X.tobytes() == _cond_then_solve(S, T).tobytes()
+        assert X.tobytes() == cond_then_solve(S, T).tobytes()
         assert np.isnan(X[7]).all() and not np.isnan(np.delete(X, 7, axis=0)).any()
 
     @pytest.mark.parametrize("k", [1, 3, 4, 8, 15])
@@ -711,7 +810,7 @@ class TestKxkScreen:
         S = np.concatenate([S * a for a in (1e-300, 1.0, 1e300)])
         T = rng.normal(size=(len(S), 15, 3)) + 1j * rng.normal(size=(len(S), 15, 3))
         assert _surely_well_conditioned(S[:1]).all()
-        assert solve_checked(S, T).tobytes() == _cond_then_solve(S, T).tobytes()
+        assert solve_checked(S, T).tobytes() == cond_then_solve(S, T).tobytes()
 
 
 class TestSingularValues:

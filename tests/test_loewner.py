@@ -15,7 +15,9 @@ from blockrat import (
     partition,
     rmse,
 )
+from blockrat.cli import PROBLEMS
 from blockrat.kernels import singular_values, svd_full
+from tests.oracles import loewner_block_with_temporaries, loewner_values
 
 
 class TestPartition:
@@ -102,7 +104,7 @@ class TestLoewnerScalar:
 
 
 class TestLoewnerBlock:
-    @pytest.mark.parametrize("d", [0, 5])
+    @pytest.mark.parametrize("d", [0])
     def test_order_checked_before_svd(self, monkeypatch, d):
         def no_svd(M):
             raise AssertionError("SVD computed for an invalid order")
@@ -149,6 +151,14 @@ class TestLoewnerBlock:
         assert ranks == [rank(svd_full(M)[1]) for M in pencils]
         assert min(ranks) == 8
 
+    def test_order_above_the_partition_size_is_lowered_to_the_cap(self, toy1):
+        p = toy1.samples.ell // 2
+        with pytest.warns(UserWarning, match=f"order {p + 3} exceeds the numerical Loewner rank 8"):
+            model = loewner_block(toy1.samples, p + 3)
+        capped = loewner_block(toy1.samples, 8)
+        for name in ("Er", "Ar", "Br", "Cr"):
+            assert getattr(model, name).tobytes() == getattr(capped, name).tobytes()
+
     def test_toy1_order8(self, toy1):
         model = loewner_block(toy1.samples, 8)
         assert rmse(toy1.samples, model) <= 1e-6
@@ -171,6 +181,23 @@ class TestLoewnerBlock:
         model = loewner_block(s, 2)
         for z in pts:
             assert np.linalg.norm(model(z) - G) <= 1e-8
+
+
+@pytest.fixture(scope="module", params=sorted(PROBLEMS))
+def problem_samples(request):
+    return PROBLEMS[request.param]().samples
+
+
+@pytest.mark.filterwarnings("ignore:order .* exceeds the numerical Loewner rank")
+def test_fit_and_values_are_the_earlier_bytes(problem_samples):
+    """The in-place pencil, `svd_full` and `solve_checked` against the pencil
+    from temporaries, `np.linalg.svd` and per-block solves, at orders 1-15."""
+    z = problem_samples.points
+    for d in range(1, 16):
+        model = loewner_block(problem_samples, d)
+        want = loewner_block_with_temporaries(problem_samples, d)
+        assert [getattr(model, name).tobytes() for name in ("Er", "Ar", "Br", "Cr")] == [w.tobytes() for w in want]
+        assert model(z).tobytes() == loewner_values(*want, z).tobytes()
 
 
 class TestEvalLoewner:
