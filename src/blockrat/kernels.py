@@ -6,14 +6,16 @@ singularity-checked solve every matrix model evaluates with, and (alpha,
 beta) generalized eigenvalue pairs.
 
 Everything here runs on numpy and on the OpenBLAS that numpy's wheel
-bundles.  Three LAPACK routines of that library are called through
-`ctypes`: `zggev`, for numpy has no QZ; `zgelqf`, for the weight SVD; and
+bundles.  Four LAPACK routines of that library are called through
+`ctypes`: `zggev`, for numpy has no QZ; `zgelqf`, for the weight SVD;
 `zgesdd`, which `svd_full` calls as `np.linalg.svd` does but without its
-copies.  blockrat loads no second OpenBLAS, with a thread count of its own.
-Where numpy links another BLAS (MKL, Accelerate, a system library) or a
-bundled OpenBLAS lacks a routine, `gen_eig` falls back to
+copies; and `zgelsd`, which `lstsq` calls as `np.linalg.lstsq` does, also
+without them.  blockrat loads no second OpenBLAS, with a thread count of
+its own.  Where numpy links another BLAS (MKL, Accelerate, a system
+library) or a bundled OpenBLAS lacks a routine, `gen_eig` falls back to
 `scipy.linalg.eig`, from the optional `scipy` extra, the weight SVD to the
-SVD of the matrix itself, and `svd_full` to `np.linalg.svd`.
+SVD of the matrix itself, `svd_full` to `np.linalg.svd` and `lstsq` to
+`np.linalg.lstsq`.
 
 `solve_checked`, `trailing_right_singular_vector` and `singular_values`
 skip work their callers never read, and keep LAPACK's bits.  The weight SVD
@@ -79,7 +81,7 @@ def _check_singular_values(s, shape):
         raise NumericalError(f"SVD did not converge for shape {shape}: non-finite singular values")
 
 
-def svd_full(M):
+def svd_full(M, overwrite=False):
     """(u, s, vh) of the full SVD of M, with the bits of `np.linalg.svd(M)`.
 
     numpy's SVD holds a copy of M, U, V* and zgesdd's real workspace in one
@@ -87,9 +89,13 @@ def svd_full(M):
     as numpy calls it: JOBZ = 'A', after a workspace query, with the LWORK
     that query returns, at the process's thread count.  It writes U, s and
     V* straight into the arrays returned, so u and vh are Fortran-ordered,
-    and the only copy of M is the one it destroys.  Where `_zgesdd` is
-    None, `np.linalg.svd` itself runs.  An empty M raises `ParameterError`,
-    and a non-finite one `NumericalError`, before LAPACK is reached.
+    and the only copy of M is the one it destroys.  With `overwrite=True`
+    a writeable, aligned, Fortran-contiguous complex M is that copy: zgesdd
+    destroys M itself.  Any other M is copied as by default, and u, s and
+    vh have the same bits either way.  Where `_zgesdd` is None,
+    `np.linalg.svd` itself runs and M is left as it was.  An empty M raises
+    `ParameterError`, and a non-finite one `NumericalError`, before LAPACK
+    is reached.
 
     RWORK has the length zgesdd documents for JOBZ = 'A' with mn and mx
     the smaller and larger side, max(5 mn^2 + 7 mn, 2 mx mn + 2 mn^2 + mn),
@@ -106,7 +112,7 @@ def svd_full(M):
     M = _svd_input(M)
     rows, cols = M.shape
     k = min(rows, cols)
-    A = np.array(M, order="F")
+    A = M if _writeable_fortran(M, overwrite) else np.array(M, order="F")
     s = np.empty(k)
     u = np.empty((rows, rows), dtype=complex, order="F")
     vh = np.empty((cols, cols), dtype=complex, order="F")
@@ -131,6 +137,11 @@ def singular_values(M):
     """The singular values of M, descending, without forming U or V, for callers
     that only count a numerical rank."""
     return _svd(M, False, compute_uv=False)
+
+
+def _writeable_fortran(M, overwrite):
+    """Whether LAPACK may overwrite M itself: `overwrite` is set and M is writeable, aligned and Fortran-contiguous."""
+    return overwrite and M.flags.f_contiguous and M.flags.writeable and M.flags.aligned
 
 
 @functools.cache
@@ -302,8 +313,7 @@ def _lq_factor(M, overwrite=False):
     """
     rows, cols = M.shape
     zgelqf = _zgelqf()
-    in_place = overwrite and M.flags.f_contiguous and M.flags.writeable and M.flags.aligned
-    A = M if in_place else np.array(M, order="F")
+    A = M if _writeable_fortran(M, overwrite) else np.array(M, order="F")
     tau = np.empty(rows, dtype=complex)
     m, n, lwork, info = (ctypes.c_int64(k) for k in (rows, cols, -1, 0))
     head = (ctypes.byref(m), ctypes.byref(n), A.ctypes.data, ctypes.byref(m), tau.ctypes.data)
@@ -336,19 +346,78 @@ def trailing_right_singular_vector(A):
     return _svd(A, rows < cols)[2][-1].conj()
 
 
-def lstsq(A, B):
-    """Minimum-norm least squares solution of A X = B; warns if A is rank-deficient."""
+def _zgelsd():
+    """LAPACK's zgelsd from the OpenBLAS of `_zgelqf`, `scipy_zgelsd_64_`, or None.
+
+    Its 15 arguments (M, N, NRHS, A, LDA, B, LDB, S, RCOND, RANK, WORK,
+    LWORK, RWORK, IWORK, INFO) are all pointers."""
+    return _openblas_function("scipy_zgelsd_64_", None, *[ctypes.c_void_p] * 15)
+
+
+def lstsq(A, B, overwrite=False):
+    """Minimum-norm least squares solution of A X = B; warns if A is rank-deficient.
+
+    X has the bits of `np.linalg.lstsq(A, B, rcond=None)[0]`, and its
+    C-ordered layout.  numpy's gufunc copies A and B into one buffer and X
+    out of it again.  Here `_zgelsd` is called as numpy calls it: after a
+    workspace query, with the LWORK, LRWORK and LIWORK that query returns,
+    LDB = max(M, N) and RCOND = eps max(M, N), which is what `rcond=None`
+    gives, at the process's thread count.  By default it factors a
+    Fortran-ordered copy of A.  With `overwrite=True` a writeable, aligned,
+    Fortran-contiguous complex A is destroyed instead, with the same bits.
+    The rank warning reads zgelsd's RANK.
+
+    A non-finite entry of A or B raises `NumericalError` before LAPACK is
+    reached: zgelsd prints DLASCL's complaint to stdout on a NaN and does
+    not return on an infinite entry.  `np.linalg.lstsq` itself runs where
+    `_zgelsd` is None, and on an A or a B with no entries.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     B = np.asarray(B, dtype=complex)
     if A.shape[0] != B.shape[0]:
         raise ParameterError(f"row mismatch: A has {A.shape[0]}, B has {B.shape[0]}")
-    try:
-        X, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"least squares failed for shape {A.shape}: {e}") from e
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise NumericalError(f"least squares failed for shape {A.shape}: non-finite entry")
+    zgelsd = _zgelsd()
+    if zgelsd is None or A.ndim != 2 or B.ndim not in (1, 2) or A.size == 0 or B.size == 0:
+        try:
+            X, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
+        except np.linalg.LinAlgError as e:
+            raise NumericalError(f"least squares failed for shape {A.shape}: {e}") from e
+    else:
+        X, rank = _gelsd(zgelsd, A, B, overwrite)
     if rank < A.shape[1]:
         warnings.warn("rank-deficient least squares; using the minimum-norm solution")
     return X
+
+
+def _gelsd(zgelsd, A, B, overwrite):
+    """(X, rank) of A X = B by zgelsd, as `lstsq` says."""
+    rows, cols = A.shape
+    nrhs = 1 if B.ndim == 1 else B.shape[1]
+    a = A if _writeable_fortran(A, overwrite) else np.array(A, order="F")
+    b = np.empty((nrhs, max(rows, cols)), dtype=complex).T  # zgelsd writes X over B
+    b[:rows] = B.reshape(rows, nrhs)
+    s = np.empty(min(rows, cols))
+    rcond = ctypes.c_double(np.finfo(float).eps * max(rows, cols))
+    m, n, k, ldb, rank, lwork, info = (ctypes.c_int64(i) for i in (rows, cols, nrhs, max(rows, cols), 0, -1, 0))
+    head = (ctypes.byref(m), ctypes.byref(n), ctypes.byref(k), a.ctypes.data, ctypes.byref(m),
+            b.ctypes.data, ctypes.byref(ldb), s.ctypes.data, ctypes.byref(rcond), ctypes.byref(rank))
+    work, rwork, iwork = np.empty(1, dtype=complex), np.empty(1), np.empty(1, dtype=np.int64)
+    zgelsd(*head, work.ctypes.data, ctypes.byref(lwork), rwork.ctypes.data, iwork.ctypes.data,
+           ctypes.byref(info))  # lwork -1: a query, answered in WORK, RWORK and IWORK
+    lwork.value = int(work[0].real)
+    work, rwork, iwork = np.empty(lwork.value, dtype=complex), np.empty(int(rwork[0])), np.empty(iwork[0], np.int64)
+    zgelsd(*head, work.ctypes.data, ctypes.byref(lwork), rwork.ctypes.data, iwork.ctypes.data, ctypes.byref(info))
+    if info.value:
+        raise NumericalError(f"least squares failed for shape {A.shape}: zgelsd info={info.value}")
+    X = np.array(b[:cols], order="C")
+    return (X.reshape(cols) if B.ndim == 1 else X), rank.value
+
+
+# the k x k screen for k != 2 takes its blocks in chunks of about this many
+# bytes, so that its three temporaries stay small beside the stack itself
+SCREEN_BYTES = 1 << 16
 
 
 def _surely_well_conditioned(S):
@@ -367,29 +436,47 @@ def _surely_well_conditioned(S):
     ||S^-1||_2 <= ||Y||_2 / (1 - r), so cond_2 <= ||S||_F ||Y||_F / (1 - r).
     A block is cleared where r <= 1/2 and that bound is at most
     COND_LIMIT / 100; the rounding of S Y then moves r by at most about
-    3e-4 k, which the factor 100 absorbs.  When `inv` raises, on an exactly
-    singular block or on a non-finite one, no block is cleared.
+    3e-4 k, which the factor 100 absorbs.  The blocks are taken in chunks of
+    `SCREEN_BYTES`, each block's numbers computed as for the whole stack.
+    When `inv` raises on a chunk, on an exactly singular block or on a
+    non-finite one, no block of the stack is cleared.
     """
     N, k = S.shape[:2]
     parts = np.ascontiguousarray(S, dtype=complex).view(float)  # real and imaginary parts side by side
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the largest |part| of each block, without an |S| temporary; a NaN turns both NaN
         top = np.maximum(parts.max(axis=(1, 2)), -parts.min(axis=(1, 2)))
-        A = (parts * (1 / top)[:, None, None]).view(complex)
-        fro2 = _fro2(A)
+        scale = (1 / top)[:, None, None]
         if k == 2:
+            A = (parts * scale).view(complex)
             det = np.abs(A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0])
-            return fro2 <= COND_LIMIT / 100 * det
-        try:
-            Y = np.linalg.inv(A)
-        except np.linalg.LinAlgError:
-            return np.zeros(N, dtype=bool)
-        fro2 *= _fro2(Y)
-        E = A @ Y
-        del A, Y  # each as large as S: freed once their norms are read
-        E[:, np.arange(k), np.arange(k)] -= 1  # E = S Y - I
-        r = np.sqrt(_fro2(E))
-        return (r <= 0.5) & (fro2 <= ((1 - r) * (COND_LIMIT / 100)) ** 2)
+            return _fro2(A) <= COND_LIMIT / 100 * det
+        cleared = np.empty(N, dtype=bool)
+        step = max(1, SCREEN_BYTES // (16 * max(k, 1) ** 2))
+        for i in range(0, N, step):
+            chunk = _inverse_clears(parts[i : i + step], scale[i : i + step])
+            if chunk is None:
+                return np.zeros(N, dtype=bool)
+            cleared[i : i + step] = chunk
+        return cleared
+
+
+def _inverse_clears(parts, scale):
+    """Which blocks of a stack, given as real parts and each block's scale, the
+    inverse of the scaled blocks clears; None where `inv` raises."""
+    A = (parts * scale).view(complex)
+    fro2 = _fro2(A)
+    try:
+        Y = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        return None
+    fro2 *= _fro2(Y)
+    E = A @ Y
+    del A, Y  # each as large as the chunk: freed once their norms are read
+    k = E.shape[1]
+    E[:, np.arange(k), np.arange(k)] -= 1  # E = S Y - I
+    r = np.sqrt(_fro2(E))
+    return (r <= 0.5) & (fro2 <= ((1 - r) * (COND_LIMIT / 100)) ** 2)
 
 
 def _fro2(M):
@@ -405,12 +492,14 @@ def solve_checked(S, T):
     not finite, the block is NaN instead: a model evaluated there is not
     evaluable.  `np.linalg.cond` is a full SVD per block, so it sees only
     the finite blocks that `_surely_well_conditioned` cannot clear; a block
-    with a non-finite entry reaches neither it nor the solve.  Where every
-    block is cleared, the stacks are solved as they are, without copies.
+    with a non-finite entry reaches neither it nor the solve, and where the
+    screen clears every finite block it is not called.  Where every block
+    is cleared, the stacks are solved as they are, without copies.
     """
     ok = np.isfinite(S).all(axis=(1, 2))
     unsure = ok & ~_surely_well_conditioned(S)
-    ok[unsure] = np.linalg.cond(S[unsure]) <= COND_LIMIT
+    if unsure.any():
+        ok[unsure] = np.linalg.cond(S[unsure]) <= COND_LIMIT
     if ok.all():
         return np.linalg.solve(S, T).astype(complex, copy=False)
     X = np.full(T.shape, np.nan, dtype=complex)

@@ -40,7 +40,8 @@ class LoewnerModel(Evaluator):
     def __call__(self, z):
         """R(z) = Cr (Ar - z Er)^-1 Br; NaN or EvaluationError on a singular resolvent."""
         zs = self._points(z)
-        S = self.Ar - zs[:, None, None] * self.Er[None]  # equal ndim: see ScalarBarycentric.__call__
+        S = np.multiply(zs[:, None, None], self.Er[None])  # equal ndim: see ScalarBarycentric.__call__
+        np.subtract(self.Ar, S, out=S)  # Ar - z Er, in the one buffer
         return self._result(z, self.Cr @ solve_checked(S, np.broadcast_to(self.Br, zs.shape + self.Br.shape)))
 
 
@@ -63,10 +64,17 @@ def partition(points, values):
     return SampleSet(points[left], values[left]), SampleSet(points[right], values[right])
 
 
-def _project(L, Ls, V, W, d):
+def _project(data, V, W, d):
+    """The order-d projection of the Loewner pencil of `data` (see `_pencil`)."""
     if d < 1:
         raise ParameterError("target order must be >= 1")
-    u, sigma, vh = svd_full(L)
+    # zgesdd destroys a Fortran-ordered L, so only C-ordered copies of the d
+    # leading singular vectors outlive the SVD, in the layout numpy's SVD
+    # returns its factors in: matmul rounds by layout
+    u, sigma, vh = svd_full(_pencil(*data, order="F")[0], overwrite=True)
+    X, Zh = np.ascontiguousarray(u[:, :d]), np.ascontiguousarray(vh[:d])
+    del u, vh
+    L, Ls = _pencil(*data)  # formed again, C-ordered, by the same operations
     numrank = int(np.sum(sigma > EPS_RANK * sigma[0]))
     if d > numrank:
         warnings.warn(f"order {d} exceeds the numerical Loewner rank {numrank}")
@@ -78,10 +86,30 @@ def _project(L, Ls, V, W, d):
         for M in (np.hstack([L, Ls]), np.vstack([L, Ls])):
             s = singular_values(M)
             d = min(d, int(np.sum(s > EPS_RANK * s[0])))
-    # C-ordered copies, as numpy's SVD returns its factors: matmul rounds by layout
-    Xh = np.ascontiguousarray(u[:, :d]).conj().T
-    Z = np.ascontiguousarray(vh[:d]).conj().T
+    Xh = X[:, :d].conj().T
+    Z = Zh[:d].conj().T
     return LoewnerModel(Er=Xh @ L @ Z, Ar=Xh @ Ls @ Z, Br=Xh @ V, Cr=W @ Z)
+
+
+def _pencil(x, y, lFx, Fyr, ldir, rdir, order="C"):
+    """(L, Ls) of the tangential data, L in `order`; Ls is None for a Fortran-ordered L.
+
+    L = (vx - vy) / (x - y) and Ls = (x vx - y vy) / (x - y), with
+    vx_ij = l_i* F(x_i) r_j and vy_ij = l_i* F(y_j) r_j, formed in place:
+    Ls is written over vx.
+    """
+    vx = np.einsum("in,jn->ij", lFx, rdir)  # l_i* F(x_i) r_j
+    vy = np.einsum("jm,im->ij", Fyr, ldir.conj())  # l_i* F(y_j) r_j
+    denom = x[:, None] - y[None, :]
+    L = np.subtract(vx, vy, order=order)
+    np.divide(L, denom, out=L)
+    if order == "F":
+        return L, None
+    np.multiply(x[:, None], vx, out=vx)
+    np.multiply(y[None, :], vy, out=vy)
+    Ls = np.subtract(vx, vy, out=vx)
+    np.divide(Ls, denom, out=Ls)
+    return L, Ls
 
 
 def loewner_scalar(points, values, d):
@@ -101,23 +129,11 @@ def loewner_block(samples, d):
     left, right = partition(samples.points, samples.values)
     cycle = np.arange(left.ell)
     ldir, rdir = np.eye(m, dtype=complex)[cycle % m], np.eye(n, dtype=complex)[cycle % n]
-    x, y = left.points, right.points
     lFx = np.einsum("im,imn->in", ldir.conj(), left.values)  # rows l_i* F(x_i)
     Fyr = np.einsum("jmn,jn->jm", right.values, rdir)  # columns F(y_j) r_j
-    vx = np.einsum("in,jn->ij", lFx, rdir)  # l_i* F(x_i) r_j
-    vy = np.einsum("jm,im->ij", Fyr, ldir.conj())  # l_i* F(y_j) r_j
-    denom = x[:, None] - y[None, :]
-    # L = (vx - vy) / denom and Ls = (x vx - y vy) / denom, in place: Ls is written over vx
-    L = np.subtract(vx, vy)
-    np.divide(L, denom, out=L)
-    np.multiply(x[:, None], vx, out=vx)
-    np.multiply(y[None, :], vy, out=vy)
-    Ls = np.subtract(vx, vy, out=vx)
-    np.divide(Ls, denom, out=Ls)
-    del vx, vy, denom  # vy and denom are as large as L: freed before the SVD
     V = lFx  # (ell/2, n)
     W = Fyr.T  # (m, ell/2)
-    return _project(L, Ls, V, W, d)
+    return _project((left.points, right.points, lFx, Fyr, ldir, rdir), V, W, d)
 
 
 def model_poles(model):

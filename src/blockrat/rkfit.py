@@ -113,6 +113,31 @@ def _polynomial_roots_from_values(points, pvals, Q):
     return pencil_eigs(build_pencil(C, nodes)).ravel()
 
 
+# I - V V^H is formed in row slabs of about this many bytes (at least), never whole
+SLAB_BYTES = 1 << 20
+SLAB_ROWS = 64  # and of at least this many rows
+
+
+def _row_slabs(ell):
+    """(start, stop) of the row slabs of the ell x ell complex I - V V^H.
+
+    The slabs are of equal height, give or take a row, each at least
+    `SLAB_BYTES` and `SLAB_ROWS` rows unless one slab holds every row.
+    numpy hands each slab times f V, (h x ell) (ell x (d+1)), to OpenBLAS's
+    zgemm, whose bits for an entry depend on the thread count: the whole
+    500 x 500 product of `buckling` rounds differently at 1 and 2 BLAS
+    threads.  At 2 threads a small slab rounds as at 1, so its entries move:
+    on `buckling` slabs of at most 2^16 multiply-adds (65 rows at degree 1,
+    21 at degree 5) or of 16 rows or fewer moved bits, and every taller one
+    kept them.  A slab of at least 1 MiB holds 2^16 entries, so 2^17
+    multiply-adds or more at any degree from 1 on; at degree 0 f V is one
+    column, and numpy takes gemv.
+    """
+    count = max(1, min(16 * ell * ell // SLAB_BYTES, ell // SLAB_ROWS))
+    bounds = [ell * i // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def relocate_poles(basis, sample_functions, poly=None):
     """One RKFIT step: new poles from the minimal-misfit basis combination.
 
@@ -123,13 +148,22 @@ def relocate_poles(basis, sample_functions, poly=None):
     the caller has it; a step that needs it and is not given it builds it.
     """
     V = basis.V
-    # I - V V^H in place, without an ell x ell identity; 0 - x rather than -x
-    # keeps the +0 entries of eye - V V^H
-    proj = V @ V.conj().T
-    np.subtract(0, proj, out=proj)
-    proj.flat[:: V.shape[0] + 1] += 1
-    blocks = [proj @ (np.asarray(f, dtype=complex)[:, None] * V) for f in sample_functions]
-    c = trailing_right_singular_vector(np.vstack(blocks))
+    ell = V.shape[0]
+    fs = [np.asarray(f, dtype=complex)[:, None] for f in sample_functions]
+    blocks = np.empty((len(fs) * ell, V.shape[1]), dtype=complex)  # the blocks (I - V V^H) f_i V, stacked
+    Vh = V.conj().T
+    slabs = _row_slabs(ell)
+    buffer = np.empty((max(r1 - r0 for r0, r1 in slabs), ell), dtype=complex)
+    for r0, r1 in slabs:
+        # rows r0:r1 of I - V V^H, without an ell x ell identity; 0 - x rather
+        # than -x keeps the +0 entries of eye - V V^H
+        slab = np.matmul(V[r0:r1], Vh, out=buffer[: r1 - r0])
+        np.subtract(0, slab, out=slab)
+        slab.ravel()[r0 :: ell + 1] += 1
+        for i, f in enumerate(fs):
+            np.matmul(slab, f * V, out=blocks[i * ell + r0 : i * ell + r1])
+    del buffer, slab  # as large as the blocks or larger: freed before their SVD
+    c = trailing_right_singular_vector(blocks)
     vhat = V @ c
     pvals = vhat * basis.qvals  # numerator samples of the degree-<=d rational vhat
     if np.max(np.abs(pvals)) <= 1e3 * np.finfo(float).eps * np.max(np.abs(basis.qvals)):

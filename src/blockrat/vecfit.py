@@ -151,17 +151,20 @@ def vf_matrix(samples, d, opts=VfOptions()):
         raise ParameterError(f"expected {d} initial poles, got {poles.size}")
 
     # unknowns: per-entry [c_1..c_d, c_0], then the shared [d_1..d_d];
-    # rows: one block of ell sample rows per entry.  Only the Cauchy columns
-    # change between iterations, so A is allocated once and they are rewritten
-    A = np.zeros((ne, ell, ne * (d + 1) + d), dtype=complex)
-    for i in range(ne):
-        A[i, :, i * (d + 1) + d] = 1
+    # rows: one block of ell sample rows per entry.  A is allocated once,
+    # column-major as zgelsd takes it, and written whole in every iteration,
+    # zeros included: `lstsq` factors it in place
+    columns = np.empty((ne * (d + 1) + d, ne, ell), dtype=complex)
+    A = columns.reshape(len(columns), ne * ell).T
+    rows = columns.transpose(1, 2, 0)  # entry i's ell rows of A are rows[i]
     for _ in range(opts.iterations):
         P = _cauchy(points, poles)  # (ell, d)
+        A[:, : ne * (d + 1)] = 0
         for i in range(ne):
-            A[i, :, i * (d + 1) : i * (d + 1) + d] = P
-        np.multiply(-fs.T[:, :, None], P, out=A[:, :, ne * (d + 1) :])
-        sol = lstsq(A.reshape(ne * ell, -1), fs.T.ravel())
+            rows[i, :, i * (d + 1) : i * (d + 1) + d] = P
+            rows[i, :, i * (d + 1) + d] = 1
+        np.multiply(-fs.T[:, :, None], P, out=rows[:, :, ne * (d + 1) :])
+        sol = lstsq(A, fs.T.ravel(), overwrite=True)
         poles = _dedupe(_denominator_zeros(poles, sol[ne * (d + 1) :]))
         if opts.enforce_stability:
             poles = _dedupe(np.where(poles.real > 0, -np.conj(poles), poles))  # reflect unstable poles

@@ -1,5 +1,7 @@
 """Shared fixtures: small sample sets used across the test modules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,13 @@ def random_samples(ell, seed=0):
     rng = np.random.default_rng(seed)
     pts = logspace_imaginary(1, 10, max(ell, 2))[:ell]
     return SampleSet(pts, rng.normal(size=(ell, 2, 2)) + 1j * rng.normal(size=(ell, 2, 2)))
+
+
+def peak_bytes(f):
+    """The peak of the memory tracemalloc traces while f() runs."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -7,9 +7,11 @@ numpy's companion matrix.  The next two are the plain loops that
 next three are the earlier assemblies of the weight matrices and of the
 greedy loop's Loewner tensor, each built from temporaries, whose entries the
 single-copy assemblies in `barycentric` and `aaa` must match byte for byte.
-The last three are the singularity-checked solve as a per-block loop and
+The next three are the singularity-checked solve as a per-block loop and
 the earlier Loewner fit and evaluation, its pencil built from temporaries
 and factored by `np.linalg.svd`, which `kernels` and `loewner` must match
+byte for byte.  The last is RKFIT's relocation matrix with the explicit
+ell x ell projector, which `rkfit.relocate_poles`'s row slabs must match
 byte for byte.
 """
 
@@ -125,3 +127,11 @@ def loewner_values(Er, Ar, Br, Cr, z):
     """Cr (Ar - z Er)^-1 Br at each point of z, solved by `cond_then_solve`."""
     S = Ar - z[:, None, None] * Er[None]
     return Cr @ cond_then_solve(S, np.broadcast_to(Br, z.shape + Br.shape))
+
+
+def relocation_blocks_explicit(V, sample_functions):
+    """The stacked blocks (I - V V*) f_i V of an RKFIT relocation, the projector formed whole."""
+    proj = V @ V.conj().T
+    np.subtract(0, proj, out=proj)
+    proj.flat[:: V.shape[0] + 1] += 1
+    return np.vstack([proj @ (np.asarray(f, dtype=complex)[:, None] * V) for f in sample_functions])

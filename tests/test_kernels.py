@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,46 @@ class TestSvdFull:
                 patch.setattr(kernels, "_openblas_function", lambda *args: None)
             got = svd_full(M)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(["square", "tall", "wide"]),
+        st.integers(1, 120),
+        st.integers(0, 119),
+        st.floats(-300, 300),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_overwrite_gives_the_default_bytes(self, kind, side, other, log10_scale, seed):
+        """zgesdd destroying a Fortran-ordered M gives the bytes of the default,
+        which leaves M as it was."""
+        rows, cols = {"square": (side, side), "tall": (side + other, side), "wide": (side, side + other)}[kind]
+        M = _complex_normal(seed, rows, cols) * 10.0**log10_scale
+        before = M.copy()
+        want = svd_full(M)
+        assert M.tobytes() == before.tobytes()
+        got = svd_full(np.asfortranarray(M), overwrite=True)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("make", [
+        lambda: _complex_normal(18, 7, 5),
+        lambda: _read_only(np.asfortranarray(_complex_normal(18, 7, 5))),
+        lambda: np.asfortranarray(_complex_normal(18, 7, 5).real),
+    ], ids=["C-ordered", "read-only", "real"])
+    def test_overwrite_copies_any_other_M(self, make):
+        M = make()
+        before = M.copy()
+        want = svd_full(before)
+        assert [a.tobytes() for a in svd_full(M, overwrite=True)] == [a.tobytes() for a in want]
+        assert M.tobytes() == before.tobytes()
+
+    def test_overwrite_destroys_a_fortran_ordered_complex_M(self):
+        if kernels._zgesdd() is None:
+            pytest.skip("numpy's linalg has no bundled OpenBLAS with zgesdd")
+        M = np.asfortranarray(_complex_normal(19, 7, 5))
+        before = M.copy()
+        want = svd_full(before)
+        assert [a.tobytes() for a in svd_full(M, overwrite=True)] == [a.tobytes() for a in want]
+        assert M.tobytes() != before.tobytes()
 
     def test_zgesdd_writes_the_outputs(self, monkeypatch):
         zgesdd = kernels._zgesdd()
@@ -726,6 +767,41 @@ class TestSolveChecked:
     def test_empty_stack(self):
         assert solve_checked(np.zeros((0, 2, 2)), np.zeros((0, 2, 1))).shape == (0, 2, 1)
 
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4, 8, 15]), st.integers(1, 3))
+    def test_stacks_of_several_chunks_match_cond_then_solve_bytes(self, seed, k, n):
+        """As `test_matches_cond_then_solve_bytes`, over 3.5 of the screen's
+        chunks: condition numbers in [1, 1e17] and clustered at COND_LIMIT / 100
+        and COND_LIMIT, scales 1e-300 to 1e300, zero, rank-one and non-finite
+        blocks."""
+        rng = np.random.default_rng(seed)
+        size = 7 * (kernels.SCREEN_BYTES // (16 * k * k)) // 2
+        third = size // 3
+        conds = np.concatenate([rng.uniform(0, 17, third), rng.uniform(11.9, 12.1, third),
+                                rng.uniform(13.9, 14.1, size - 2 * third)])
+        S = _blocks_of_known_condition(rng, k, conds, rng.uniform(-300, 300, size))
+        rank_one = rng.normal(size=(4, k, 1)) @ rng.normal(size=(4, 1, k)) * (1 + 1j)
+        bad = S[:4].copy()
+        bad[:, 0, -1] = [np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1)]
+        S = rng.permutation(np.concatenate([S, np.zeros((2, k, k)), rank_one, bad]))
+        T = rng.normal(size=(len(S), k, n)) + 1j * rng.normal(size=(len(S), k, n))
+        assert solve_checked(S, T).tobytes() == cond_then_solve(S, T).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 15])
+    def test_no_condition_number_when_every_block_is_cleared(self, monkeypatch, k):
+        rng = np.random.default_rng(200 + k)
+        S = _blocks_of_known_condition(rng, k, rng.uniform(0, 10, 300), rng.uniform(-300, 300, 300))
+        T = rng.normal(size=(300, k, 2)) + 1j * rng.normal(size=(300, k, 2))
+        want = cond_then_solve(S, T)
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda M, *args: calls.append(M.shape) or cond(M, *args))
+        assert solve_checked(S, T).tobytes() == want.tobytes()
+        assert calls == []
+        S[5] = 0  # one block the screen cannot clear
+        solve_checked(S, T)
+        assert calls == [(1, k, k)]
+
 
 def _growth_worst_case(k):
     """1 on the diagonal and in the last column, -1 below: partial pivoting grows it by 2^(k-1)."""
@@ -802,6 +878,33 @@ class TestKxkScreen:
         monkeypatch.setattr(np.linalg, "inv", lambda A: inv(A) / 1e6)  # ||S|| ||Y|| about 1e7
         assert not _surely_well_conditioned(S).any()
 
+    @pytest.mark.parametrize("k", [1, 3, 15])
+    def test_empty_stack(self, k):
+        assert solve_checked(np.zeros((0, k, k)), np.zeros((0, k, 2))).shape == (0, k, 2)
+
+    @pytest.mark.parametrize("k", [1, 3, 15])
+    def test_chunks_of_a_few_blocks_clear_what_the_whole_stack_clears(self, monkeypatch, k):
+        """Chunks of 7 blocks and a remainder clear exactly the blocks one chunk clears."""
+        rng = np.random.default_rng(300 + k)
+        conds = np.concatenate([rng.uniform(0, 17, 40), rng.uniform(11.9, 12.1, 40)])
+        S = _blocks_of_known_condition(rng, k, conds, rng.uniform(-300, 300, 80))
+        S[:3] = 0  # each NaN after scaling: not cleared
+        S = rng.permutation(S)
+        whole = _surely_well_conditioned(S)
+        monkeypatch.setattr(kernels, "SCREEN_BYTES", 7 * 16 * k * k)
+        assert _surely_well_conditioned(S).tobytes() == whole.tobytes()
+        assert whole.any() and not whole.all()
+
+    @pytest.mark.parametrize("k", [3, 15])
+    def test_a_singular_block_in_a_later_chunk_clears_nothing(self, monkeypatch, k):
+        rng = np.random.default_rng(400 + k)
+        S = _blocks_of_known_condition(rng, k, rng.uniform(0, 10, 50), rng.uniform(-300, 300, 50))
+        S[37] = np.diag(np.arange(k) > 0).astype(complex)  # a zero pivot: inv raises for its chunk
+        monkeypatch.setattr(kernels, "SCREEN_BYTES", 10 * 16 * k * k)
+        assert not _surely_well_conditioned(S).any()
+        T = rng.normal(size=(50, k, 2)) + 1j * rng.normal(size=(50, k, 2))
+        assert solve_checked(S, T).tobytes() == cond_then_solve(S, T).tobytes()
+
     def test_partial_pivoting_worst_case(self):
         """k = 15 with growth 2^14, as it is and moved to condition numbers around the limits."""
         rng = np.random.default_rng(15)
@@ -875,6 +978,121 @@ class TestLstsq:
         A = np.array([[np.nan, 1.0], [2.0, 3.0]])
         with pytest.raises(NumericalError):
             lstsq(A, np.ones(2))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["tall", "wide", "square"]),
+        st.integers(1, 60),
+        st.integers(0, 60),
+        st.sampled_from([0, 1, 3]),
+        st.floats(-300, 300),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_bytes_of_numpy_lstsq(self, kind, side, other, nrhs, log10_scale, seed, deficient, overwrite, fallback):
+        """zgelsd on A, or on a copy of it, gives `np.linalg.lstsq(A, B, rcond=None)[0]`
+        byte for byte, with its shape and C order, and warns where its rank is
+        below A's columns; so does the fallback where the library has no zgelsd.
+        B is 1-D where `nrhs` is 0."""
+        rows, cols = {"square": (side, side), "tall": (side + other, side), "wide": (side, side + other)}[kind]
+        A = _complex_normal(seed, rows, cols) * 10.0**log10_scale
+        if deficient and cols > 1:
+            A[:, -1] = (0.5 - 2j) * A[:, 0]
+        B = _complex_normal(seed + 1, rows, max(nrhs, 1))
+        if nrhs == 0:
+            B = B[:, 0]
+        want, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
+        if overwrite:
+            A = np.asfortranarray(A)
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if fallback:
+                patch.setattr(kernels, "_openblas_function", lambda *args: None)
+            got = lstsq(A, B, overwrite=overwrite)
+        assert got.tobytes() == want.tobytes()
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert [str(w.message) for w in caught if w.category is UserWarning] == (
+            ["rank-deficient least squares; using the minimum-norm solution"] * int(rank < cols))
+
+    def test_overwrite_destroys_a_fortran_ordered_complex_A(self):
+        if kernels._zgelsd() is None:
+            pytest.skip("numpy's linalg has no bundled OpenBLAS with zgelsd")
+        A = np.asfortranarray(_complex_normal(20, 30, 6))
+        B = _complex_normal(21, 30, 2)
+        before = A.copy()
+        want = lstsq(before, B)
+        assert A.tobytes() == before.tobytes()
+        assert lstsq(A, B, overwrite=True).tobytes() == want.tobytes()
+        assert A.tobytes() != before.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: _complex_normal(22, 30, 6),
+        lambda: _read_only(np.asfortranarray(_complex_normal(22, 30, 6))),
+        lambda: np.asfortranarray(_complex_normal(22, 30, 6).real),
+    ], ids=["C-ordered", "read-only", "real"])
+    def test_overwrite_copies_any_other_A(self, make):
+        A = make()
+        before = A.copy()
+        B = _complex_normal(23, 30, 1)[:, 0]
+        assert lstsq(A, B, overwrite=True).tobytes() == lstsq(before, B).tobytes()
+        assert A.tobytes() == before.tobytes()
+
+    def test_zgelsd_factors_in_place(self, monkeypatch):
+        zgelsd = kernels._zgelsd()
+        if zgelsd is None:  # CI fails when it is missing, so this cannot pass there on the fallback
+            pytest.skip("numpy's linalg has no bundled OpenBLAS with zgelsd")
+        calls = []
+
+        def spy(*args):
+            calls.append(args[3])
+            zgelsd(*args)
+
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq reached")
+
+        monkeypatch.setattr(kernels, "_zgelsd", lambda: spy)
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        A = np.asfortranarray(_complex_normal(24, 12, 4))
+        lstsq(A, np.ones(12), overwrite=True)
+        assert calls == [A.ctypes.data] * 2  # the workspace query, then the solve, on A itself
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("in_b", [False, True])
+    def test_nonfinite_entry_raises_before_lapack(self, monkeypatch, capfd, bad, in_b):
+        """zgelsd prints DLASCL's complaint on a NaN and does not return on an infinite entry."""
+        def unreachable(*args):
+            raise AssertionError("zgelsd reached")
+
+        monkeypatch.setattr(kernels, "_zgelsd", lambda: unreachable)
+        A, B = _complex_normal(25, 5, 3), _complex_normal(26, 5, 2)
+        (B if in_b else A)[3, 1] = bad
+        with pytest.raises(NumericalError, match=r"least squares failed for shape \(5, 3\): non-finite entry"):
+            lstsq(A, B)
+        assert capfd.readouterr() == ("", "")
+
+    def test_nonzero_info_raises(self, monkeypatch):
+        zgelsd = kernels._zgelsd()
+        if zgelsd is None:
+            pytest.skip("numpy's linalg has no bundled OpenBLAS with zgelsd")
+
+        def failing(*args):
+            zgelsd(*args)
+            args[14]._obj.value = 2  # INFO, passed by reference
+
+        monkeypatch.setattr(kernels, "_zgelsd", lambda: failing)
+        with pytest.raises(NumericalError, match=r"shape \(6, 4\): zgelsd info=2"):
+            lstsq(_complex_normal(27, 6, 4), np.ones(6))
+
+    @pytest.mark.parametrize("shape, b_shape", [((0, 3), (0,)), ((4, 0), (4, 2)), ((4, 3), (4, 0))])
+    def test_no_entries_take_numpy(self, shape, b_shape):
+        A, B = np.zeros(shape, dtype=complex), np.ones(b_shape, dtype=complex)
+        want, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = lstsq(A, B)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestGenEig:

@@ -20,8 +20,9 @@ from blockrat import (
     rmse,
 )
 import blockrat.rkfit as rkfit
-from blockrat.rkfit import _leja_indices
-from tests.oracles import leja_indices_prod
+from blockrat.cli import PROBLEMS
+from blockrat.rkfit import _leja_indices, _row_slabs
+from tests.oracles import leja_indices_prod, relocation_blocks_explicit
 
 
 class TestBuildBasis:
@@ -187,3 +188,53 @@ class TestLejaIndices:
     def test_log_grid(self):
         pts = logspace_imaginary(1, 1e4, 200)
         assert _leja_indices(pts, 16).tobytes() == leja_indices_prod(pts, 16).tobytes()
+
+
+def _spied_matrices(monkeypatch):
+    """The list each relocation appends its matrix to, the one whose trailing right singular vector it takes."""
+    matrices = []
+    trailing = rkfit.trailing_right_singular_vector
+    monkeypatch.setattr(rkfit, "trailing_right_singular_vector", lambda M: matrices.append(M.copy()) or trailing(M))
+    return matrices
+
+
+class TestRowSlabs:
+    """`relocate_poles` applies I - V V* in row slabs, with the explicit projector's bytes."""
+
+    @pytest.mark.parametrize("d", [1, 5, 10, 15])  # 65-row slabs moved bits at degree 1 on two threads
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    def test_every_relocation_is_the_explicit_projector_bytes(self, monkeypatch, problem, d):
+        samples = PROBLEMS[problem]().samples
+        calls = []
+        relocate = rkfit.relocate_poles
+        monkeypatch.setattr(rkfit, "relocate_poles", lambda basis, fs, poly=None: calls.append((basis, fs)) or relocate(basis, fs, poly))
+        matrices = _spied_matrices(monkeypatch)
+        try:
+            rkfit_fit(samples, RkfitOptions(degree=d))
+        except NumericalError:  # toy2 at some orders: a pole on a sample point, after the relocations
+            pass
+        assert len(calls) == len(matrices) > 0
+        for (basis, fs), M in zip(calls, matrices):
+            assert M.tobytes() == relocation_blocks_explicit(basis.V, fs).tobytes()
+
+    @pytest.mark.parametrize("ell", [777, 1001])
+    def test_slabs_of_two_heights(self, monkeypatch, ell):
+        """ell is not a multiple of the slab height: the slabs are of two heights."""
+        assert len({r1 - r0 for r0, r1 in _row_slabs(ell)}) == 2
+        rng = np.random.default_rng(ell)
+        pts = logspace_imaginary(1, 1e4, ell)
+        fs = [rng.normal(size=ell) + 1j * rng.normal(size=ell) for _ in range(3)]
+        matrices = _spied_matrices(monkeypatch)
+        for d in (1, 6):
+            basis = build_basis(pts, [], degree=d)
+            relocate_poles(basis, fs)
+            assert matrices.pop().tobytes() == relocation_blocks_explicit(basis.V, fs).tobytes()
+
+    @pytest.mark.parametrize("ell", [1, 2, 63, 64, 65, 128, 500, 1000, 4097])
+    def test_slabs_cover_the_rows_once_in_near_equal_heights(self, ell):
+        slabs = _row_slabs(ell)
+        assert [r0 for r0, _ in slabs] == [0] + [r1 for _, r1 in slabs[:-1]] and slabs[-1][1] == ell
+        heights = [r1 - r0 for r0, r1 in slabs]
+        assert max(heights) - min(heights) <= 1
+        if len(slabs) > 1:
+            assert min(heights) >= rkfit.SLAB_ROWS and 16 * ell * (min(heights) + 1) > rkfit.SLAB_BYTES

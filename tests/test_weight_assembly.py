@@ -9,7 +9,6 @@ these at one and at two BLAS threads.
 """
 
 import importlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 import blockrat.barycentric as bary
 from blockrat import AaaOptions, SampleSet, block_aaa, logspace_imaginary, nonlinear_eigs_baryC
 from blockrat.barycentric import _loewner_tensor, solve_weights_baryB, solve_weights_baryC
+from tests.conftest import peak_bytes
 from tests.oracles import baryB_matrix_reshaped, baryC_matrix_stacked, loewner_grown_by_concatenation
 
 # the package exports the function block_aaa under its module's name
@@ -113,16 +113,6 @@ def test_greedy_tensor_is_the_delete_and_concatenate_bytes(seed, m, ell, max_ord
         prev_points, prev = rest.points, loewner
 
 
-def _peak_bytes(f):
-    """The peak of the memory tracemalloc traces while f() runs."""
-    tracemalloc.start()
-    try:
-        f()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestPeakMemory:
     """On a 4 x 4 problem with 10 support points and 400 remaining samples the
     bary-C matrix is 80 x 1600 (2 MB) and the bary-B matrix 40 x 1600 (1 MB).
@@ -140,9 +130,9 @@ class TestPeakMemory:
     def test_baryC_holds_its_matrix_once(self, problem):
         rest, nodes, _ = problem
         matrix = 16 * (2 * 4 * nodes.size) * (4 * rest.ell)
-        assert _peak_bytes(lambda: solve_weights_baryC(rest, nodes)) < 1.4 * matrix
+        assert peak_bytes(lambda: solve_weights_baryC(rest, nodes)) < 1.4 * matrix
 
     def test_baryB_given_its_tensor_holds_one_copy(self, problem):
         rest, nodes, values = problem
         L = _loewner_tensor(rest, nodes, values)
-        assert _peak_bytes(lambda: solve_weights_baryB(rest, nodes, values, L)) < 1.25 * L.nbytes
+        assert peak_bytes(lambda: solve_weights_baryB(rest, nodes, values, L)) < 1.25 * L.nbytes
