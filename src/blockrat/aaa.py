@@ -121,8 +121,10 @@ def _greedy_driver(samples, opts, solve_weights, make_model, fallback_weights, r
 def _stacked_loewner_weights(rest, nodes, node_vals, loewner):
     """Common weights: trailing right singular vector of the stacked
     entrywise Loewner matrices (one per matrix entry, over remaining points)."""
-    # loewner: (j+1, ell', m, n)
-    return trailing_right_singular_vector(loewner.transpose(2, 3, 1, 0).reshape(-1, nodes.size))
+    # loewner: (j+1, ell', m, n); the stacked matrix is built once, Fortran-ordered,
+    # so that zgeqrf or zgesdd factors it in place, and the greedy loop's tensor is left as it was
+    k = nodes.size
+    return trailing_right_singular_vector(loewner.transpose(0, 2, 3, 1).copy().reshape(k, -1).T, overwrite=True)
 
 
 def aaa_scalar(points, values, opts=AaaOptions()):

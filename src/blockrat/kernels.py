@@ -6,23 +6,22 @@ singularity-checked solve every matrix model evaluates with, and (alpha,
 beta) generalized eigenvalue pairs.
 
 Everything here runs on numpy and on the OpenBLAS that numpy's wheel
-bundles.  Four LAPACK routines of that library are called through
-`ctypes`: `zggev`, for numpy has no QZ; `zgelqf`, for the weight SVD;
-`zgesdd`, which `svd_full` calls as `np.linalg.svd` does but without its
-copies; and `zgelsd`, which `lstsq` calls as `np.linalg.lstsq` does, also
-without them.  blockrat loads no second OpenBLAS, with a thread count of
-its own.  Where numpy links another BLAS (MKL, Accelerate, a system
-library) or a bundled OpenBLAS lacks a routine, `gen_eig` falls back to
-`scipy.linalg.eig`, from the optional `scipy` extra, the weight SVD to the
-SVD of the matrix itself, `svd_full` to `np.linalg.svd` and `lstsq` to
-`np.linalg.lstsq`.
+bundles.  Five LAPACK routines of that library are called through `ctypes`,
+each through `_lapack`, which makes the workspace query, calls and checks
+INFO: `zggev`, for numpy has no QZ; `zgelqf` and `zgeqrf`, for the
+triangular factors the weight SVDs start from; `zgesdd`, which `_svd` calls
+as `np.linalg.svd` does but without its copies; and `zgelsd`, which `lstsq`
+calls as `np.linalg.lstsq` does, also without them.  blockrat loads no
+second OpenBLAS, with a thread count of its own.  Where numpy links another
+BLAS (MKL, Accelerate, a system library) or a bundled OpenBLAS lacks a
+routine, `gen_eig` falls back to `scipy.linalg.eig`, from the optional
+`scipy` extra, the weight SVDs to `np.linalg.qr` and the SVD of the matrix
+itself, `_svd` to `np.linalg.svd` and `lstsq` to `np.linalg.lstsq`.
 
-`solve_checked`, `trailing_right_singular_vector` and `singular_values`
-skip work their callers never read, and keep LAPACK's bits.  The weight SVD
-`trailing_left_singular_block` runs in `_one_openblas_thread`, the one window
-that limits OpenBLAS to one thread, and takes a wide matrix's U from the L of
-OpenBLAS's own zgelqf, as zgesdd does, without V*.  Each function states its
-rule and the reason for it.
+Every function keeps LAPACK's bits and skips work its callers never read.
+The weight SVD `trailing_left_singular_block` runs in
+`_one_openblas_thread`, the one window that limits OpenBLAS to one thread.
+Each function states its rule and the reason for it.
 """
 
 import contextlib
@@ -43,19 +42,13 @@ EPS_FINITE = 1e-12  # |beta| below this (relative) flags an infinite eigenvalue
 COND_LIMIT = 1e14
 
 __all__ = [
-    "svd_full",
-    "singular_values",
-    "trailing_left_singular_block",
-    "trailing_right_singular_vector",
-    "lstsq",
-    "solve_checked",
-    "gen_eig",
-    "finite_eigenvalues",
+    "svd_full", "singular_values", "trailing_left_singular_block", "trailing_right_singular_vector",
+    "lstsq", "solve_checked", "gen_eig", "finite_eigenvalues",
 ]
 
 
-def _svd(M, full_matrices, compute_uv=True):
-    """The SVD of M as a complex matrix through `np.linalg.svd`."""
+def _numpy_svd(M, full_matrices, compute_uv=True):
+    """The SVD of M as a complex matrix through `np.linalg.svd`, where `_svd` says."""
     M = _svd_input(M)
     try:
         usv = np.linalg.svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
@@ -81,62 +74,91 @@ def _check_singular_values(s, shape):
         raise NumericalError(f"SVD did not converge for shape {shape}: non-finite singular values")
 
 
+# below SMALL_ENTRIES entries (128 KiB, glibc's default mmap threshold) numpy's
+# gufuncs copy their operands cheaply and cost less per call than LAPACK
+# through `ctypes`: `_svd` runs `np.linalg.svd` there for JOBZ 'S' and 'N', and
+# `trailing_right_singular_vector` `np.linalg.qr`; a tall A of the latter with
+# rows x cols^2 up to SMALL_TALL takes the economy SVD of A itself
+SMALL_ENTRIES, SMALL_TALL = 8192, 800
+
+
 def svd_full(M, overwrite=False):
-    """(u, s, vh) of the full SVD of M, with the bits of `np.linalg.svd(M)`.
+    """(u, s, vh) of the full SVD of M, with the bits of `np.linalg.svd(M)`:
+    `_svd` with JOBZ = 'A'.  u and vh are Fortran-ordered, and with
+    `overwrite=True` zgesdd may destroy M, as `_svd` says."""
+    return _svd(M, b"A", overwrite)
 
-    numpy's SVD holds a copy of M, U, V* and zgesdd's real workspace in one
-    buffer and then copies U and V* out once more.  Here `_zgesdd` is called
-    as numpy calls it: JOBZ = 'A', after a workspace query, with the LWORK
-    that query returns, at the process's thread count.  It writes U, s and
-    V* straight into the arrays returned, so u and vh are Fortran-ordered,
-    and the only copy of M is the one it destroys.  With `overwrite=True`
-    a writeable, aligned, Fortran-contiguous complex M is that copy: zgesdd
-    destroys M itself.  Any other M is copied as by default, and u, s and
-    vh have the same bits either way.  Where `_zgesdd` is None,
-    `np.linalg.svd` itself runs and M is left as it was.  An empty M raises
-    `ParameterError`, and a non-finite one `NumericalError`, before LAPACK
-    is reached.
 
-    RWORK has the length zgesdd documents for JOBZ = 'A' with mn and mx
-    the smaller and larger side, max(5 mn^2 + 7 mn, 2 mx mn + 2 mn^2 + mn),
-    where 7 mn covers LAPACK before 3.7: about half of numpy's, which counts
-    complex entries.  zgesdd takes no LRWORK, so the length cannot enter
-    its arithmetic.  numpy's length is 5 MB at 250 x 250, and numpy asks the
-    kernel for transparent huge pages on an array from 4 MiB on: the part
-    LAPACK touches then came in 2 MB pages, which moved the benchmark's
-    peak RSS by up to 2 MB from run to run.
+def singular_values(M):
+    """The singular values of M, descending, without forming U or V, for callers
+    that only count a numerical rank: `_svd` with JOBZ = 'N', the bits of
+    `np.linalg.svd(M, compute_uv=False)`."""
+    return _svd(M, b"N")
+
+
+def _svd(M, jobz, overwrite=False):
+    """The SVD of M by `_zgesdd` with JOBZ `jobz`, with the bits of `np.linalg.svd`.
+
+    JOBZ b'A' gives (u, s, vh) with the full u and vh, b'S' the economy
+    ones, b'N' s alone.  numpy's SVD holds M, U, V* and zgesdd's real
+    workspace in one buffer and copies U and V* out once more.  Here zgesdd,
+    called through `_lapack` at the process's thread count, writes them
+    straight into the arrays returned, Fortran-ordered, and destroys one
+    copy of M, or with `overwrite=True` a writeable, aligned,
+    Fortran-contiguous complex M itself, with the same bits.  Where
+    `_zgesdd` is None, and for JOBZ 'S' and 'N' below `SMALL_ENTRIES`,
+    `np.linalg.svd` runs instead.  An empty M raises `ParameterError`, and a
+    non-finite one `NumericalError`, before LAPACK is reached.  RWORK has
+    the length zgesdd documents (LAPACK before 3.7 included), half of
+    numpy's, whose 5 MB at 250 x 250 came in transparent huge pages and
+    moved the benchmark's peak RSS; zgesdd takes no LRWORK to round by.
     """
     zgesdd = _zgesdd()
-    if zgesdd is None:
-        return _svd(M, True)
+    if zgesdd is None or (jobz != b"A" and np.size(M) < SMALL_ENTRIES):
+        return _numpy_svd(M, jobz == b"A", compute_uv=jobz != b"N")
     M = _svd_input(M)
     rows, cols = M.shape
     k = min(rows, cols)
     A = M if _writeable_fortran(M, overwrite) else np.array(M, order="F")
     s = np.empty(k)
-    u = np.empty((rows, rows), dtype=complex, order="F")
-    vh = np.empty((cols, cols), dtype=complex, order="F")
-    rwork = np.empty(max(5 * k * k + 7 * k, 2 * max(rows, cols) * k + 2 * k * k + k))
+    shapes = {b"A": ((rows, rows), (cols, cols)), b"S": ((rows, k), (k, cols)), b"N": ((1, 1), (1, 1))}[jobz]
+    u, vh = (np.empty(shape, dtype=complex, order="F") for shape in shapes)  # 1 x 1 for 'N': never referenced
+    rwork = np.empty(7 * k if jobz == b"N" else max(5 * k * k + 7 * k, 2 * max(rows, cols) * k + 2 * k * k + k))
     iwork = np.empty(8 * k, dtype=np.int64)
-    work = np.empty(1, dtype=complex)
-    m, n, lwork, info = (ctypes.c_int64(i) for i in (rows, cols, -1, 0))
-    ROWS, COLS = ctypes.byref(m), ctypes.byref(n)
-    head = (b"A", ROWS, COLS, A.ctypes.data, ROWS, s.ctypes.data, u.ctypes.data, ROWS, vh.ctypes.data, COLS)
-    tail = (ctypes.byref(lwork), rwork.ctypes.data, iwork.ctypes.data, ctypes.byref(info), 1)
-    zgesdd(*head, work.ctypes.data, *tail)  # lwork -1: a query
-    lwork.value = max(int(work[0].real), 1)  # numpy's guard against a zero answer
-    work = np.empty(lwork.value, dtype=complex)
-    zgesdd(*head, work.ctypes.data, *tail)
-    if info.value:
-        raise NumericalError(f"SVD did not converge for shape {M.shape}: zgesdd info={info.value}")
+    m, n, ldu, ldvt = (ctypes.c_int64(i) for i in (rows, cols, u.shape[0], vh.shape[0]))
+    head = (jobz, ctypes.byref(m), ctypes.byref(n), A.ctypes.data, ctypes.byref(m), s.ctypes.data,
+            u.ctypes.data, ctypes.byref(ldu), vh.ctypes.data, ctypes.byref(ldvt))
+    _lapack(zgesdd, f"SVD did not converge for shape {M.shape}: zgesdd", head,
+            (rwork.ctypes.data, iwork.ctypes.data, _INFO, 1))
     _check_singular_values(s, M.shape)
-    return u, s, vh
+    return s if jobz == b"N" else (u, s, vh)
 
 
-def singular_values(M):
-    """The singular values of M, descending, without forming U or V, for callers
-    that only count a numerical rank."""
-    return _svd(M, False, compute_uv=False)
+_INFO = object()  # stands for INFO in the arguments `_lapack` passes
+
+
+def _lapack(routine, failure, head, tail, query_head=None):
+    """Call `routine(*head, WORK, LWORK, *tail)` as numpy calls LAPACK: a
+    workspace query with LWORK = -1 (and `query_head` for `head` where
+    given), then the call with the lengths it answers, at least 1.  In
+    `tail`, `_INFO` stands for INFO, and `float` or `np.int64` for a
+    workspace whose length the query answers too (zgelsd's RWORK and IWORK).
+    A nonzero INFO raises `NumericalError`: `failure`, then INFO.
+    """
+    lwork, info = ctypes.c_int64(-1), ctypes.c_int64(0)
+    tail = [ctypes.byref(info) if a is _INFO else a for a in tail]
+    answered = {i: np.empty(1, dtype=a) for i, a in enumerate(tail) if a is float or a is np.int64}
+    work = np.empty(1, dtype=complex)
+    for args in (query_head or head, head):
+        for i, space in answered.items():
+            tail[i] = space.ctypes.data
+        routine(*args, work.ctypes.data, ctypes.byref(lwork), *tail)
+        if lwork.value == -1:  # the query, answered in WORK(1) and the answered workspaces
+            lwork.value = max(int(work[0].real), 1)
+            work = np.empty(lwork.value, dtype=complex)
+            answered = {i: np.empty(max(int(w[0]), 1), dtype=w.dtype) for i, w in answered.items()}
+    if info.value:
+        raise NumericalError(f"{failure} info={info.value}")
 
 
 def _writeable_fortran(M, overwrite):
@@ -148,10 +170,9 @@ def _writeable_fortran(M, overwrite):
 def _openblas_function(name, restype, *argtypes):
     """The function `name` of the OpenBLAS numpy's linalg uses, typed, or None.
 
-    A numpy wheel bundles that OpenBLAS (`libscipy_openblas64_*`) in the
-    `numpy.libs` directory beside the package; loading the file again gives
-    the library already in the process.  None where there is no such
-    directory, not exactly one such library, or one that lacks the function.
+    A numpy wheel bundles that OpenBLAS (`libscipy_openblas64_*`) in `numpy.libs`
+    beside the package; loading the file again gives the library already in the
+    process.  None unless that directory holds exactly one such library, with `name`.
     """
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     try:
@@ -170,22 +191,32 @@ def _openblas_thread_setter():
 
 
 def _zgelqf():
-    """LAPACK's zgelqf, the one numpy's SVD calls, or None.
-
-    The wheel's OpenBLAS is built with 64-bit integers (ILP64) and a
-    `scipy_` prefix, so the Fortran symbol is `scipy_zgelqf_64_`.  Its eight
-    arguments (M, N, A, LDA, TAU, WORK, LWORK, INFO) are all pointers.
-    """
+    """LAPACK's zgelqf, the one numpy's SVD calls, or None: `scipy_zgelqf_64_`, for
+    the wheel's OpenBLAS has 64-bit integers (ILP64) and a `scipy_` prefix.  Its
+    arguments M, N, A, LDA, TAU, WORK, LWORK, INFO are pointers.  Below, four more
+    routines from that library; string lengths follow their pointers."""
     return _openblas_function("scipy_zgelqf_64_", None, *[ctypes.c_void_p] * 8)
 
 
-def _zgesdd():
-    """LAPACK's zgesdd from the OpenBLAS of `_zgelqf`, `scipy_zgesdd_64_`, or None.
+def _zgeqrf():
+    """zgeqrf, the one `np.linalg.qr` calls: M, N, A, LDA, TAU, WORK, LWORK, INFO."""
+    return _openblas_function("scipy_zgeqrf_64_", None, *[ctypes.c_void_p] * 8)
 
-    Its 15 arguments (JOBZ, M, N, A, LDA, S, U, LDU, VT, LDVT, WORK, LWORK,
-    RWORK, IWORK, INFO) are pointers; the Fortran length of the string JOBZ
-    follows."""
+
+def _zgesdd():
+    """zgesdd: JOBZ, M, N, A, LDA, S, U, LDU, VT, LDVT, WORK, LWORK, RWORK, IWORK, INFO; JOBZ's length."""
     return _openblas_function("scipy_zgesdd_64_", None, *[ctypes.c_void_p] * 15, ctypes.c_size_t)
+
+
+def _zgelsd():
+    """zgelsd: M, N, NRHS, A, LDA, B, LDB, S, RCOND, RANK, WORK, LWORK, RWORK, IWORK, INFO."""
+    return _openblas_function("scipy_zgelsd_64_", None, *[ctypes.c_void_p] * 15)
+
+
+def _zggev():
+    """zggev: JOBVL, JOBVR, N, A, LDA, B, LDB, ALPHA, BETA, VL, LDVL, VR, LDVR, WORK, LWORK,
+    RWORK, INFO; the lengths of JOBVL and JOBVR."""
+    return _openblas_function("scipy_zggev_64_", None, *[ctypes.c_void_p] * 17, ctypes.c_size_t, ctypes.c_size_t)
 
 
 # OpenBLAS's thread count is one per process: this lock keeps two threads from
@@ -213,11 +244,11 @@ def _one_openblas_thread():
 
 
 # zgesdd rescales a matrix whose largest |entry| is nonzero and below
-# SMLNUM = sqrt(safmin)/eps (about 6.7e-139), or above BIGNUM = 1/SMLNUM.
-# The LQ route of `trailing_left_singular_block` takes only an M whose
-# largest |entry| is in this narrower window: there neither M nor its L
-# factor is rescaled, for L's rows have the norms of M's, so max|L| lies
-# between max|M| / sqrt(rows) and max|M| * sqrt(cols)
+# SMLNUM = sqrt(safmin)/eps (about 6.7e-139), or above BIGNUM = 1/SMLNUM.  The
+# LQ route of `trailing_left_singular_block` and the small route of
+# `trailing_right_singular_vector` take only a matrix whose largest |entry| is
+# in this narrower window: there neither it nor its triangular factor, whose
+# rows or columns have its norms, is rescaled
 LQ_RANGE = (1e-100, 1e100)
 
 
@@ -226,48 +257,37 @@ def trailing_left_singular_block(M, m, overwrite=False):
 
     Returns W of shape (m, rows(M)), scaled to unit Frobenius norm.  Among all
     unit-Frobenius-norm W with orthonormal rows this minimizes ||W @ M||_F.
-
-    By default M is left as it was.  With `overwrite=True` M may be
-    destroyed: a writeable, aligned, Fortran-contiguous complex M that takes
-    the LQ route below is factored in place, where zgelqf would otherwise
-    get a copy.  Any other M, and the SVD route, are copied as by default.
-    W has the same bits either way.
+    By default M is left as it was; with `overwrite=True` a writeable,
+    aligned, Fortran-contiguous complex M that takes the LQ route is
+    factored in place, with the same bits.
 
     Only U is read, and for a wide M the economy SVD also forms the rows x
-    cols matrix V*.  A wide M from cols >= floor(17 rows / 9) on (zgesdd's
-    MNTHR1) therefore takes the route LAPACK's zgesdd takes inside, without
-    V*.  For such an M, zgesdd with JOBZ='S' (its path 3t) factors M = L Q
-    with zgelqf, takes U from L through zgebrd, dbdsdc and zunmbr, and only
-    then builds Q and V* = V_L* Q.  Here `_lq_factor` calls the same zgelqf,
-    in the OpenBLAS numpy's SVD calls, with the same optimal workspace and
-    at the same thread count, so L has zgesdd's bits; the SVD of the square
-    L runs the same three steps on it (zgesdd's path for a square matrix),
-    so U has the economy SVD's bits.
+    cols V*.  A wide M from cols >= floor(17 rows / 9) on (zgesdd's MNTHR1)
+    therefore takes zgesdd's own route without V*: zgesdd with JOBZ='S' (its
+    path 3t) factors M = L Q with zgelqf and takes U from the SVD of the
+    square L.  `_lq_factor` calls the same zgelqf with the same workspace at
+    the same thread count, so L, and U with it, has the economy SVD's bits.
+    M takes the SVD of M itself wherever zgesdd does something else first:
+    where its largest |entry| is outside `LQ_RANGE` (zgesdd rescales it;
+    the test also fails on a non-finite, zero or empty M, which `_svd`
+    rejects naming M's shape), where there is no zgelqf, and for a tall M,
+    whose full U spans its left null space.
 
-    M takes the SVD of M itself wherever zgesdd does something else first.
-    zgesdd rescales M where its largest |entry| is outside `LQ_RANGE`; that
-    test also catches an infinite entry, a zero M and an empty one (which
-    the SVD rejects with `ParameterError`), and a NaN entry fails it; `_svd`
-    raises `NumericalError` naming M's shape on both.  The SVD of M is
-    also taken where numpy's linalg has no bundled OpenBLAS with zgelqf
-    (MKL, Accelerate, a system library), and for a tall M, which needs the
-    full U: its trailing columns span M's left null space.
-
-    M is factored on one OpenBLAS thread, so W has the same bits at any
-    thread count, and block-AAA's and the bary-C refit's weights with it.
-    At the sizes they reach, a second thread also costs more than it saves:
-    block-AAA's 32 x 970 matrix on `buckling` at order 15 took 9.1 ms on
-    two threads and 3.8 ms on one through the economy SVD.  Every other
-    kernel keeps the process's count: RKFIT's least squares and SVDs round
-    differently on one thread, and their benchmark reference was recorded
-    on two.  The limit is `_one_openblas_thread`'s.
+    M is factored on one OpenBLAS thread (`_one_openblas_thread`), so W has
+    the same bits at any thread count, and block-AAA's and the bary-C
+    refit's weights with it.  At their sizes a second thread also costs more
+    than it saves: block-AAA's 32 x 970 matrix on `buckling` at order 15
+    took 9.1 ms on two threads and 3.8 ms on one.  Every other kernel keeps
+    the process's count: RKFIT rounds differently on one thread, and its
+    benchmark reference was recorded on two.
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.shape[0] % m != 0:
         raise ParameterError(f"block height {m} does not divide {M.shape[0]} rows")
     with _one_openblas_thread():
         u = _left_singular_vectors(M, overwrite)
-    return u[:, -m:].conj().T / np.sqrt(m)
+    # W is Fortran-ordered whichever SVD ran, as BlockBaryB's bits need
+    return np.conjugate(u[:, -m:], order="C").T / np.sqrt(m)
 
 
 def _left_singular_vectors(M, overwrite=False):
@@ -275,8 +295,8 @@ def _left_singular_vectors(M, overwrite=False):
     where `trailing_left_singular_block` says."""
     rows, cols = M.shape
     if rows < cols and cols >= 17 * rows // 9 and _zgelqf() is not None and _in_lq_range(M):
-        return _svd(_lq_factor(M, overwrite), False)[0]
-    return _svd(M, rows > cols)[0]
+        return _svd(_lq_factor(M, overwrite), b"S", overwrite=True)[0]
+    return _svd(M, b"A" if rows > cols else b"S")[0]
 
 
 def _in_lq_range(M):
@@ -299,59 +319,67 @@ def _in_lq_range(M):
 
 
 def _lq_factor(M, overwrite=False):
-    """The lower-triangular L of M = L Q, for rows <= cols, by `_zgelqf`.
-
-    zgelqf is called as zgesdd calls it: after a workspace query, with the
-    optimal workspace, which sets the block size of its blocked Householder
-    steps.  It overwrites its Fortran-ordered copy of the complex M, or with
-    `overwrite` a writeable, aligned, Fortran-contiguous M itself, with L on
-    and below the diagonal and Q's reflectors elsewhere.  L is returned as a
-    view of that array with zeros above the diagonal, as zgesdd copies it;
-    they are written in place one column at a time, for `np.tril`'s masked
-    copy costs more on the smallest L.  Raises `NumericalError` when zgelqf
-    reports a nonzero INFO.
-    """
-    rows, cols = M.shape
-    zgelqf = _zgelqf()
-    A = M if _writeable_fortran(M, overwrite) else np.array(M, order="F")
-    tau = np.empty(rows, dtype=complex)
-    m, n, lwork, info = (ctypes.c_int64(k) for k in (rows, cols, -1, 0))
-    head = (ctypes.byref(m), ctypes.byref(n), A.ctypes.data, ctypes.byref(m), tau.ctypes.data)
-    work = np.empty(1, dtype=complex)
-    zgelqf(*head, work.ctypes.data, ctypes.byref(lwork), ctypes.byref(info))  # lwork -1: a query
-    lwork.value = int(work[0].real)
-    work = np.empty(lwork.value, dtype=complex)
-    zgelqf(*head, work.ctypes.data, ctypes.byref(lwork), ctypes.byref(info))
-    if info.value:
-        raise NumericalError(f"LQ factorization failed for shape {M.shape}: zgelqf info={info.value}")
-    L = A[:, :rows]
+    """The lower-triangular L of M = L Q, for rows <= cols, by `_zgelqf`: a view of
+    `_householder`'s array with zeros above the diagonal, as zgesdd copies it, written
+    one column at a time, for `np.tril`'s masked copy costs more on the smallest L."""
+    rows = M.shape[0]
+    L = _householder(_zgelqf(), M, overwrite, "LQ factorization", "zgelqf")[:, :rows]
     for j in range(1, rows):
         L[:j, j] = 0
     return L
 
 
-def trailing_right_singular_vector(A):
+def _householder(routine, M, overwrite, what, name):
+    """The array that zgelqf or zgeqrf, `routine`, writes its factorization of M into.
+
+    It is called through `_lapack` as zgesdd and `np.linalg.qr` call it, with
+    the optimal workspace, which sets its block size, on a Fortran-ordered
+    copy of the complex M, or with `overwrite` on a writeable, aligned,
+    Fortran-contiguous M itself.  A nonzero INFO raises "`what` failed".
+    """
+    rows, cols = M.shape
+    A = M if _writeable_fortran(M, overwrite) else np.array(M, order="F")
+    tau = np.empty(min(rows, cols), dtype=complex)
+    m, n = ctypes.c_int64(rows), ctypes.c_int64(cols)
+    head = (ctypes.byref(m), ctypes.byref(n), A.ctypes.data, ctypes.byref(m), tau.ctypes.data)
+    _lapack(routine, f"{what} failed for shape {M.shape}: {name}", head, (_INFO,))
+    return A
+
+
+def trailing_right_singular_vector(A, overwrite=False):
     """The unit vector c minimizing ||A @ c||_2: the last right singular vector.
 
-    For a wide A (rows < cols) this is a null vector, from the full V.  A
-    tall A from floor(17 cols / 9) rows on (LAPACK's MNTHR1) is replaced by
-    its R factor: zgesdd factors A = QR itself there and bidiagonalizes R,
-    so the bits are the same, and the rows x cols Q that the economy SVD
-    forms and this discards is never built.
+    A wide A (rows < cols) takes the full V*, whose last row is a null
+    vector, and a tall A below floor(17 cols / 9) rows (zgesdd's MNTHR1)
+    the economy SVD.  From MNTHR1 on, zgesdd factors A = QR itself and
+    takes V* from R's SVD, so A is replaced by the R of
+    `np.linalg.qr(A, mode="r")`: c keeps the economy SVD's bits, and the
+    rows x cols U it forms is never built.  From `SMALL_ENTRIES` entries on,
+    R comes from `_zgeqrf`, called as `np.linalg.qr` calls it, on A itself
+    or on one Fortran-ordered copy where numpy's QR makes three, and is
+    zeroed below the diagonal by `np.triu`, as there; a non-finite entry
+    raises `NumericalError` before zgeqrf is reached.  A tall A with rows x
+    cols^2 up to `SMALL_TALL` and its largest |entry| in `LQ_RANGE` takes
+    the economy SVD of A itself, one numpy call instead of two, with R's
+    bits: zgesdd rescales neither A nor R there.  Best of 5 timeit runs at
+    two threads on a C-ordered A, six runs each, R from `np.linalg.qr`
+    against this function, in us: 20 x 1 22-28 against 19-20, 100 x 2
+    23-26 against 22-24, 400 x 4 33-37 against 34-37 (the same route),
+    2000 x 16 656-755 against 342-421.
+
+    By default A is left as it was.  With `overwrite=True` a writeable,
+    aligned, Fortran-contiguous complex A may be destroyed by zgeqrf or
+    zgesdd; c has the same bits either way.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     rows, cols = A.shape
-    if rows >= 17 * cols // 9:
-        A = np.linalg.qr(A, mode="r")
-    return _svd(A, rows < cols)[2][-1].conj()
-
-
-def _zgelsd():
-    """LAPACK's zgelsd from the OpenBLAS of `_zgelqf`, `scipy_zgelsd_64_`, or None.
-
-    Its 15 arguments (M, N, NRHS, A, LDA, B, LDB, S, RCOND, RANK, WORK,
-    LWORK, RWORK, IWORK, INFO) are all pointers."""
-    return _openblas_function("scipy_zgelsd_64_", None, *[ctypes.c_void_p] * 15)
+    if rows < 17 * cols // 9 or (rows * cols * cols <= SMALL_TALL and _in_lq_range(A)):
+        return _svd(A, b"A" if rows < cols else b"S", overwrite)[2][-1].conj()
+    if A.size >= SMALL_ENTRIES and _zgeqrf() is not None:
+        R = np.triu(_householder(_zgeqrf(), _svd_input(A), overwrite, "QR factorization", "zgeqrf")[:cols])
+    else:
+        R = np.linalg.qr(A, mode="r")
+    return _svd(R, b"S", overwrite=True)[2][-1].conj()
 
 
 def lstsq(A, B, overwrite=False):
@@ -359,13 +387,12 @@ def lstsq(A, B, overwrite=False):
 
     X has the bits of `np.linalg.lstsq(A, B, rcond=None)[0]`, and its
     C-ordered layout.  numpy's gufunc copies A and B into one buffer and X
-    out of it again.  Here `_zgelsd` is called as numpy calls it: after a
-    workspace query, with the LWORK, LRWORK and LIWORK that query returns,
-    LDB = max(M, N) and RCOND = eps max(M, N), which is what `rcond=None`
-    gives, at the process's thread count.  By default it factors a
-    Fortran-ordered copy of A.  With `overwrite=True` a writeable, aligned,
-    Fortran-contiguous complex A is destroyed instead, with the same bits.
-    The rank warning reads zgelsd's RANK.
+    out of it again.  Here `_zgelsd` is called through `_lapack` as numpy
+    calls it, with LDB = max(M, N) and RCOND = eps max(M, N), which is what
+    `rcond=None` gives, at the process's thread count, on a Fortran-ordered
+    copy of A, or with `overwrite=True` on a writeable, aligned,
+    Fortran-contiguous complex A itself, with the same bits.  The rank
+    warning reads zgelsd's RANK.
 
     A non-finite entry of A or B raises `NumericalError` before LAPACK is
     reached: zgelsd prints DLASCL's complaint to stdout on a NaN and does
@@ -385,34 +412,22 @@ def lstsq(A, B, overwrite=False):
         except np.linalg.LinAlgError as e:
             raise NumericalError(f"least squares failed for shape {A.shape}: {e}") from e
     else:
-        X, rank = _gelsd(zgelsd, A, B, overwrite)
+        rows, cols = A.shape
+        nrhs = 1 if B.ndim == 1 else B.shape[1]
+        a = A if _writeable_fortran(A, overwrite) else np.array(A, order="F")
+        b = np.empty((nrhs, max(rows, cols)), dtype=complex).T  # zgelsd writes X over B
+        b[:rows] = B.reshape(rows, nrhs)
+        s = np.empty(min(rows, cols))
+        rcond = ctypes.c_double(np.finfo(float).eps * max(rows, cols))
+        m, n, k, ldb, rank = (ctypes.c_int64(i) for i in (rows, cols, nrhs, max(rows, cols), 0))
+        head = (ctypes.byref(m), ctypes.byref(n), ctypes.byref(k), a.ctypes.data, ctypes.byref(m),
+                b.ctypes.data, ctypes.byref(ldb), s.ctypes.data, ctypes.byref(rcond), ctypes.byref(rank))
+        _lapack(zgelsd, f"least squares failed for shape {A.shape}: zgelsd", head, (float, np.int64, _INFO))
+        X, rank = np.array(b[:cols], order="C"), rank.value
+        X = X.reshape(cols) if B.ndim == 1 else X
     if rank < A.shape[1]:
         warnings.warn("rank-deficient least squares; using the minimum-norm solution")
     return X
-
-
-def _gelsd(zgelsd, A, B, overwrite):
-    """(X, rank) of A X = B by zgelsd, as `lstsq` says."""
-    rows, cols = A.shape
-    nrhs = 1 if B.ndim == 1 else B.shape[1]
-    a = A if _writeable_fortran(A, overwrite) else np.array(A, order="F")
-    b = np.empty((nrhs, max(rows, cols)), dtype=complex).T  # zgelsd writes X over B
-    b[:rows] = B.reshape(rows, nrhs)
-    s = np.empty(min(rows, cols))
-    rcond = ctypes.c_double(np.finfo(float).eps * max(rows, cols))
-    m, n, k, ldb, rank, lwork, info = (ctypes.c_int64(i) for i in (rows, cols, nrhs, max(rows, cols), 0, -1, 0))
-    head = (ctypes.byref(m), ctypes.byref(n), ctypes.byref(k), a.ctypes.data, ctypes.byref(m),
-            b.ctypes.data, ctypes.byref(ldb), s.ctypes.data, ctypes.byref(rcond), ctypes.byref(rank))
-    work, rwork, iwork = np.empty(1, dtype=complex), np.empty(1), np.empty(1, dtype=np.int64)
-    zgelsd(*head, work.ctypes.data, ctypes.byref(lwork), rwork.ctypes.data, iwork.ctypes.data,
-           ctypes.byref(info))  # lwork -1: a query, answered in WORK, RWORK and IWORK
-    lwork.value = int(work[0].real)
-    work, rwork, iwork = np.empty(lwork.value, dtype=complex), np.empty(int(rwork[0])), np.empty(iwork[0], np.int64)
-    zgelsd(*head, work.ctypes.data, ctypes.byref(lwork), rwork.ctypes.data, iwork.ctypes.data, ctypes.byref(info))
-    if info.value:
-        raise NumericalError(f"least squares failed for shape {A.shape}: zgelsd info={info.value}")
-    X = np.array(b[:cols], order="C")
-    return (X.reshape(cols) if B.ndim == 1 else X), rank.value
 
 
 # the k x k screen for k != 2 takes its blocks in chunks of about this many
@@ -507,15 +522,6 @@ def solve_checked(S, T):
     return X
 
 
-def _zggev():
-    """LAPACK's zggev from the OpenBLAS of `_zgelqf`, `scipy_zggev_64_`, or None.
-
-    Its 17 arguments (JOBVL, JOBVR, N, A, LDA, B, LDB, ALPHA, BETA, VL, LDVL,
-    VR, LDVR, WORK, LWORK, RWORK, INFO) are pointers; the Fortran lengths of
-    the strings JOBVL and JOBVR follow."""
-    return _openblas_function("scipy_zggev_64_", None, *[ctypes.c_void_p] * 17, ctypes.c_size_t, ctypes.c_size_t)
-
-
 def gen_eig(A, B):
     """Generalized eigenvalues of (A, B) as a list of (alpha, beta) pairs.
 
@@ -547,19 +553,13 @@ def gen_eig(A, B):
         except np.linalg.LinAlgError as e:
             raise NumericalError(f"QZ iteration failed for size {n}: {e}") from e
     A, B = np.array(A, order="F"), np.array(B, order="F")
-    alpha, beta, work, rwork = np.empty(n, complex), np.empty(n, complex), np.empty(1, complex), np.empty(8 * n)
-    size, lwork, info, one = (ctypes.c_int64(k) for k in (n, -1, 0, 1))
-    N, LWORK = ctypes.byref(size), ctypes.byref(lwork)
-    # each array's address is read once: numpy's `.ctypes` costs microseconds
-    head = (N, A.ctypes.data, N, B.ctypes.data, N, alpha.ctypes.data, beta.ctypes.data)
-    tail = (rwork.ctypes.data, ctypes.byref(info), 1, 1)
+    alpha, beta, rwork = np.empty(n, complex), np.empty(n, complex), np.empty(8 * n)
+    size, one = ctypes.c_int64(n), ctypes.c_int64(1)
+    N, ONE = ctypes.byref(size), ctypes.byref(one)
+    pencil = (N, A.ctypes.data, N, B.ctypes.data, N, alpha.ctypes.data, beta.ctypes.data)
     # VL and VR are never referenced: neither by a workspace query nor with JOBV* = 'N'
-    zggev(b"V", b"V", *head, None, N, None, N, work.ctypes.data, LWORK, *tail)  # lwork -1: a query
-    lwork.value = int(work[0].real)
-    work = np.empty(lwork.value, dtype=complex)
-    zggev(b"N", b"N", *head, None, ctypes.byref(one), None, ctypes.byref(one), work.ctypes.data, LWORK, *tail)
-    if info.value:
-        raise NumericalError(f"QZ iteration failed for size {n}: zggev info={info.value}")
+    _lapack(zggev, f"QZ iteration failed for size {n}: zggev", (b"N", b"N", *pencil, None, ONE, None, ONE),
+            (rwork.ctypes.data, _INFO, 1, 1), query_head=(b"V", b"V", *pencil, None, N, None, N))
     return list(zip(alpha, beta))
 
 

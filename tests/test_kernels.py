@@ -721,6 +721,116 @@ class TestTrailingRightSingularVector:
         assert trailing_right_singular_vector(A).tobytes() == want.tobytes()
 
 
+def _r_first(A):
+    """The trailing vector from the SVD of `np.linalg.qr`'s R, as it was taken before zgeqrf."""
+    return np.linalg.svd(np.linalg.qr(A, mode="r"), full_matrices=False)[2][-1].conj()
+
+
+def _route_spy(monkeypatch):
+    """Records ("qr", shape) for each A that zgeqrf factors and ("svd", shape) for each SVD `_svd` takes."""
+    calls = []
+    householder, svd = kernels._householder, kernels._svd
+    monkeypatch.setattr(kernels, "_householder", lambda routine, M, *args: calls.append(("qr", M.shape)) or householder(routine, M, *args))
+    monkeypatch.setattr(kernels, "_svd", lambda M, jobz, overwrite=False: calls.append(("svd", np.shape(M))) or svd(M, jobz, overwrite))
+    return calls
+
+
+# (rows, cols) on either side of each cut: MNTHR1 = floor(17 cols / 9),
+# SMALL_TALL on rows x cols^2 and SMALL_ENTRIES on rows x cols
+EDGES = [(2, 2), (3, 2), (29, 16), (30, 16),
+         (800, 1), (801, 1), (200, 2), (201, 2), (88, 3), (89, 3), (50, 4), (51, 4),
+         (8191, 1), (8192, 1), (2047, 4), (2048, 4), (511, 16), (512, 16)]
+
+
+def _route(rows, cols, in_range=True):
+    """The calls `_route_spy` records for an A of this shape."""
+    if rows < 17 * cols // 9 or (rows * cols * cols <= kernels.SMALL_TALL and in_range):
+        return [("svd", (rows, cols))]
+    return ([("qr", (rows, cols))] if rows * cols >= kernels.SMALL_ENTRIES else []) + [("svd", (cols, cols))]
+
+
+class TestTrailingRightRoutes:
+    """Every route of a tall A keeps the bits of the SVD of `np.linalg.qr`'s R, and a shorter one the economy SVD's."""
+
+    @pytest.fixture(autouse=True)
+    def _skip_without_the_route(self):
+        # CI fails when it is missing, so these tests cannot pass there on the fallback alone
+        if kernels._zgeqrf() is None:
+            pytest.skip("numpy's linalg has no bundled OpenBLAS with zgeqrf")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(EDGES), st.sampled_from(["C", "F", "strided"]), st.sampled_from([-200, 0, 200]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_bytes_on_both_sides_of_each_cut(self, edge, layout, log10_scale, rank_deficient, seed):
+        rows, cols = edge
+        A = _complex_normal(seed, rows, cols) * 10.0**log10_scale
+        if rank_deficient and cols > 1:
+            A[:, -1] = (0.5 - 2j) * A[:, 0]
+        A = {"C": A, "F": np.asfortranarray(A), "strided": np.repeat(A, 2, axis=0)[::2]}[layout]
+        before = A.copy()
+        want = np.linalg.svd(A, full_matrices=False)[2][-1].conj() if rows < 17 * cols // 9 else _r_first(A)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _route_spy(patch)
+            got = trailing_right_singular_vector(A)
+        assert got.tobytes() == want.tobytes()
+        assert A.tobytes() == before.tobytes()
+        assert calls == _route(rows, cols, in_range=log10_scale == 0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: _complex_normal(33, 600, 16),
+        lambda: _read_only(np.asfortranarray(_complex_normal(33, 600, 16))),
+        lambda: np.asfortranarray(_complex_normal(33, 600, 16).real),
+        lambda: np.asfortranarray(_complex_normal(33, 1200, 16))[::2],
+    ], ids=["C-ordered", "read-only", "real", "strided"])
+    def test_overwrite_copies_any_other_A(self, make):
+        A = make()
+        before = A.copy()
+        want = trailing_right_singular_vector(before)
+        assert trailing_right_singular_vector(A, overwrite=True).tobytes() == want.tobytes()
+        assert A.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("shape", [(600, 16), (100, 90), (90, 100)], ids=["zgeqrf", "economy SVD", "wide"])
+    def test_overwrite_destroys_a_fortran_ordered_complex_A(self, shape):
+        A = np.asfortranarray(_complex_normal(34, *shape))
+        before = A.copy()
+        want = trailing_right_singular_vector(before)
+        assert trailing_right_singular_vector(A, overwrite=True).tobytes() == want.tobytes()
+        assert A.tobytes() != before.tobytes()
+
+    def test_without_the_library_the_r_is_numpys(self, monkeypatch):
+        A = _complex_normal(35, 700, 16)
+        want = _r_first(A)
+        calls, qr = [], np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: calls.append(args[0].shape) or qr(*args, **kwargs))
+        monkeypatch.setattr(kernels, "_openblas_function", lambda *args: None)
+        assert trailing_right_singular_vector(A).tobytes() == want.tobytes()
+        assert calls == [(700, 16)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("rows", [40, 700])  # the R of np.linalg.qr, and zgeqrf's
+    def test_nonfinite_entry_raises_before_zgeqrf_and_prints_nothing(self, monkeypatch, capfd, bad, rows):
+        def unreachable(*args):
+            raise AssertionError("zgeqrf reached")
+
+        monkeypatch.setattr(kernels, "_zgeqrf", lambda: unreachable)
+        A = _complex_normal(36, rows, 16)
+        A[5, 3] = bad
+        with pytest.raises(NumericalError, match=r"SVD did not converge for shape \((700|16), 16\): non-finite entry"):
+            trailing_right_singular_vector(A)
+        assert capfd.readouterr() == ("", "")
+
+    def test_nonzero_info_raises(self, monkeypatch):
+        zgeqrf = kernels._zgeqrf()
+
+        def failing(*args):
+            zgeqrf(*args)
+            args[-1]._obj.value = -4  # INFO, passed by reference
+
+        monkeypatch.setattr(kernels, "_zgeqrf", lambda: failing)
+        with pytest.raises(NumericalError, match=r"QR factorization failed for shape \(700, 16\): zgeqrf info=-4"):
+            trailing_right_singular_vector(_complex_normal(37, 700, 16))
+
+
 def _unitary(rng, k):
     return np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))[0]
 
@@ -926,6 +1036,20 @@ class TestSingularValues:
             assert s.shape == want.shape
             assert np.all(np.diff(s) <= 0)
             assert np.abs(s - want).max() <= 1e-13 * s[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(["square", "tall", "wide"]),
+        st.integers(1, 150),
+        st.integers(0, 149),
+        st.floats(-300, 300),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_of_numpy_svd(self, kind, side, other, log10_scale, seed):
+        """zgesdd with JOBZ = 'N' from SMALL_ENTRIES entries on, np.linalg.svd below: its bytes either way."""
+        rows, cols = {"square": (side, side), "tall": (side + other, side), "wide": (side, side + other)}[kind]
+        M = _complex_normal(seed, rows, cols) * 10.0**log10_scale
+        assert singular_values(M).tobytes() == np.linalg.svd(M, compute_uv=False).tobytes()
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ParameterError):

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blockrat.aaa as aaa
 import blockrat.barycentric as bary
-from blockrat import AaaOptions, SampleSet, block_aaa, logspace_imaginary, nonlinear_eigs_baryC
+from blockrat import AaaOptions, SampleSet, block_aaa, kernels, logspace_imaginary, nonlinear_eigs_baryC, set_valued_aaa
 from blockrat.barycentric import _loewner_tensor, solve_weights_baryB, solve_weights_baryC
+from blockrat.cli import problem_buckling, problem_scalar_noise
 from tests.conftest import peak_bytes
 from tests.oracles import baryB_matrix_reshaped, baryC_matrix_stacked, loewner_grown_by_concatenation
 
@@ -111,6 +113,51 @@ def test_greedy_tensor_is_the_delete_and_concatenate_bytes(seed, m, ell, max_ord
         column = _loewner_tensor(rest, nodes[-1:], node_vals[-1:])
         assert loewner.tobytes() == loewner_grown_by_concatenation(prev, t, column).tobytes()
         prev_points, prev = rest.points, loewner
+
+
+class TestSetValuedWeights:
+    """Set-valued AAA builds its stacked Loewner matrix once, Fortran-ordered, and
+    lets the kernel factor that copy in place: the greedy loop's kept tensor, the
+    matrix's entries and the fit stay as they were."""
+
+    # 2 x 2 samples, and 1 x 1 ones, whose tensor a reshape without a copy would alias
+    @pytest.mark.parametrize("problem", [problem_buckling, lambda: problem_scalar_noise(ell=2000)],
+                             ids=["buckling", "scalar-noise"])
+    def test_only_the_weight_solves_own_copy_is_destroyed(self, monkeypatch, problem):
+        samples = problem().samples
+        fits, tensors, destroyed = [], [], []
+        greedy, solve, kernel = aaa._greedy_driver, aaa._stacked_loewner_weights, aaa.trailing_right_singular_vector
+
+        def checked(rest, nodes, node_vals, loewner):
+            before = loewner.copy()
+            tensors.append(loewner)
+            w = solve(rest, nodes, node_vals, loewner)
+            assert loewner.tobytes() == before.tobytes()
+            return w
+
+        def recording(A, overwrite=False):
+            k = tensors[-1].shape[0]
+            assert A.flags.f_contiguous and overwrite
+            # the entries of the C-ordered reshape the weights were solved from before
+            assert np.ascontiguousarray(A).tobytes() == tensors[-1].transpose(2, 3, 1, 0).reshape(-1, k).tobytes()
+            before = A.copy()
+            c = kernel(A, overwrite)
+            destroyed.append(A.tobytes() != before.tobytes())
+            return c
+
+        monkeypatch.setattr(aaa, "_greedy_driver", lambda *args: fits.append(greedy(*args)) or fits[-1])
+        monkeypatch.setattr(aaa, "_stacked_loewner_weights", checked)
+        monkeypatch.setattr(aaa, "trailing_right_singular_vector", recording)
+        set_valued_aaa(samples, AaaOptions(max_order=15))
+        # the same fit, its kernel given a defensive copy
+        monkeypatch.setattr(aaa, "trailing_right_singular_vector", lambda A, overwrite=False: kernel(A.copy(order="F")))
+        set_valued_aaa(samples, AaaOptions(max_order=15))
+        if kernels._zgeqrf() is not None:
+            assert any(destroyed)  # zgeqrf factored the solve's own copy in place
+        got, want = fits
+        assert got.model.nodes.tobytes() == want.model.nodes.tobytes()
+        assert got.model.weights.tobytes() == want.model.weights.tobytes()
+        assert got.errors == want.errors and got.skipped == want.skipped
 
 
 class TestPeakMemory:
