@@ -115,7 +115,7 @@ class SampleSet:
 
         Rows of a valid set need no second check; only the indices are checked.
         """
-        idx = np.arange(self.ell)[np.asarray(indices)]
+        idx = np.arange(self.ell)[np.asarray(indices)] if np.size(indices) else np.empty(0, dtype=int)
         if idx.size == 0 or np.bincount(idx).max() > 1:
             raise ParameterError("a subset needs at least one point and each point at most once")
         sub = object.__new__(SampleSet)

@@ -9,14 +9,16 @@ Everything here runs on numpy and on the OpenBLAS that numpy's wheel
 bundles.  Five LAPACK routines of that library are called through `ctypes`,
 each through `_lapack`, which makes the workspace query, calls and checks
 INFO: `zggev`, for numpy has no QZ; `zgelqf` and `zgeqrf`, for the
-triangular factors the weight SVDs start from; `zgesdd`, which `_svd` calls
-as `np.linalg.svd` does but without its copies; and `zgelsd`, which `lstsq`
-calls as `np.linalg.lstsq` does, also without them.  blockrat loads no
-second OpenBLAS, with a thread count of its own.  Where numpy links another
-BLAS (MKL, Accelerate, a system library) or a bundled OpenBLAS lacks a
-routine, `gen_eig` falls back to `scipy.linalg.eig`, from the optional
-`scipy` extra, the weight SVDs to `np.linalg.qr` and the SVD of the matrix
-itself, `_svd` to `np.linalg.svd` and `lstsq` to `np.linalg.lstsq`.
+triangular factors the weight SVDs start from; `zgesdd`, which only
+`svd_full`, the Loewner fit's full SVD, calls, as `np.linalg.svd` does but
+without its copies; and `zgelsd`, which `lstsq` calls as `np.linalg.lstsq`
+does, also without them.  Every other SVD is `np.linalg.svd`, through
+`_numpy_svd`.  blockrat loads no second OpenBLAS, with a thread count of its
+own.  Where numpy links another BLAS (MKL, Accelerate, a system library) or
+a bundled OpenBLAS lacks a routine, `gen_eig` falls back to
+`scipy.linalg.eig`, from the optional `scipy` extra, the weight SVDs to
+`np.linalg.qr` and the SVD of the matrix itself, `svd_full` to
+`np.linalg.svd` and `lstsq` to `np.linalg.lstsq`.
 
 Every function keeps LAPACK's bits and skips work its callers never read.
 The weight SVD `trailing_left_singular_block` runs in
@@ -48,7 +50,7 @@ __all__ = [
 
 
 def _numpy_svd(M, full_matrices, compute_uv=True):
-    """The SVD of M as a complex matrix through `np.linalg.svd`, where `_svd` says."""
+    """The SVD of M as a complex matrix through `np.linalg.svd`: every SVD here but `svd_full`'s."""
     M = _svd_input(M)
     try:
         usv = np.linalg.svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
@@ -74,64 +76,45 @@ def _check_singular_values(s, shape):
         raise NumericalError(f"SVD did not converge for shape {shape}: non-finite singular values")
 
 
-# below SMALL_ENTRIES entries (128 KiB, glibc's default mmap threshold) numpy's
-# gufuncs copy their operands cheaply and cost less per call than LAPACK
-# through `ctypes`: `_svd` runs `np.linalg.svd` there for JOBZ 'S' and 'N', and
-# `trailing_right_singular_vector` `np.linalg.qr`; a tall A of the latter with
-# rows x cols^2 up to SMALL_TALL takes the economy SVD of A itself
-SMALL_ENTRIES, SMALL_TALL = 8192, 800
-
-
 def svd_full(M, overwrite=False):
-    """(u, s, vh) of the full SVD of M, with the bits of `np.linalg.svd(M)`:
-    `_svd` with JOBZ = 'A'.  u and vh are Fortran-ordered, and with
-    `overwrite=True` zgesdd may destroy M, as `_svd` says."""
-    return _svd(M, b"A", overwrite)
+    """(u, s, vh) of the full SVD of M, with the bits of `np.linalg.svd(M)`.
 
-
-def singular_values(M):
-    """The singular values of M, descending, without forming U or V, for callers
-    that only count a numerical rank: `_svd` with JOBZ = 'N', the bits of
-    `np.linalg.svd(M, compute_uv=False)`."""
-    return _svd(M, b"N")
-
-
-def _svd(M, jobz, overwrite=False):
-    """The SVD of M by `_zgesdd` with JOBZ `jobz`, with the bits of `np.linalg.svd`.
-
-    JOBZ b'A' gives (u, s, vh) with the full u and vh, b'S' the economy
-    ones, b'N' s alone.  numpy's SVD holds M, U, V* and zgesdd's real
-    workspace in one buffer and copies U and V* out once more.  Here zgesdd,
-    called through `_lapack` at the process's thread count, writes them
-    straight into the arrays returned, Fortran-ordered, and destroys one
-    copy of M, or with `overwrite=True` a writeable, aligned,
-    Fortran-contiguous complex M itself, with the same bits.  Where
-    `_zgesdd` is None, and for JOBZ 'S' and 'N' below `SMALL_ENTRIES`,
-    `np.linalg.svd` runs instead.  An empty M raises `ParameterError`, and a
+    numpy's SVD holds M, U, V* and zgesdd's real workspace in one buffer and
+    copies U and V* out once more.  Here `_zgesdd` with JOBZ = 'A', called
+    through `_lapack` at the process's thread count, writes them straight
+    into the arrays returned, Fortran-ordered, and destroys one copy of M,
+    or with `overwrite=True` a writeable, aligned, Fortran-contiguous
+    complex M itself, with the same bits.  `np.linalg.svd` runs where
+    `_zgesdd` is None.  An empty M raises `ParameterError`, and a
     non-finite one `NumericalError`, before LAPACK is reached.  RWORK has
     the length zgesdd documents (LAPACK before 3.7 included), half of
     numpy's, whose 5 MB at 250 x 250 came in transparent huge pages and
     moved the benchmark's peak RSS; zgesdd takes no LRWORK to round by.
     """
     zgesdd = _zgesdd()
-    if zgesdd is None or (jobz != b"A" and np.size(M) < SMALL_ENTRIES):
-        return _numpy_svd(M, jobz == b"A", compute_uv=jobz != b"N")
+    if zgesdd is None:
+        return _numpy_svd(M, True)
     M = _svd_input(M)
     rows, cols = M.shape
     k = min(rows, cols)
     A = M if _writeable_fortran(M, overwrite) else np.array(M, order="F")
     s = np.empty(k)
-    shapes = {b"A": ((rows, rows), (cols, cols)), b"S": ((rows, k), (k, cols)), b"N": ((1, 1), (1, 1))}[jobz]
-    u, vh = (np.empty(shape, dtype=complex, order="F") for shape in shapes)  # 1 x 1 for 'N': never referenced
-    rwork = np.empty(7 * k if jobz == b"N" else max(5 * k * k + 7 * k, 2 * max(rows, cols) * k + 2 * k * k + k))
+    u, vh = (np.empty((n, n), dtype=complex, order="F") for n in (rows, cols))
+    rwork = np.empty(max(5 * k * k + 7 * k, 2 * max(rows, cols) * k + 2 * k * k + k))
     iwork = np.empty(8 * k, dtype=np.int64)
-    m, n, ldu, ldvt = (ctypes.c_int64(i) for i in (rows, cols, u.shape[0], vh.shape[0]))
-    head = (jobz, ctypes.byref(m), ctypes.byref(n), A.ctypes.data, ctypes.byref(m), s.ctypes.data,
-            u.ctypes.data, ctypes.byref(ldu), vh.ctypes.data, ctypes.byref(ldvt))
+    m, n = ctypes.c_int64(rows), ctypes.c_int64(cols)
+    head = (b"A", ctypes.byref(m), ctypes.byref(n), A.ctypes.data, ctypes.byref(m), s.ctypes.data,
+            u.ctypes.data, ctypes.byref(m), vh.ctypes.data, ctypes.byref(n))
     _lapack(zgesdd, f"SVD did not converge for shape {M.shape}: zgesdd", head,
             (rwork.ctypes.data, iwork.ctypes.data, _INFO, 1))
     _check_singular_values(s, M.shape)
-    return s if jobz == b"N" else (u, s, vh)
+    return u, s, vh
+
+
+def singular_values(M):
+    """The singular values of M, descending, without forming U or V, for callers
+    that only count a numerical rank: `np.linalg.svd(M, compute_uv=False)`."""
+    return _numpy_svd(M, False, compute_uv=False)
 
 
 _INFO = object()  # stands for INFO in the arguments `_lapack` passes
@@ -245,10 +228,9 @@ def _one_openblas_thread():
 
 # zgesdd rescales a matrix whose largest |entry| is nonzero and below
 # SMLNUM = sqrt(safmin)/eps (about 6.7e-139), or above BIGNUM = 1/SMLNUM.  The
-# LQ route of `trailing_left_singular_block` and the small route of
-# `trailing_right_singular_vector` take only a matrix whose largest |entry| is
-# in this narrower window: there neither it nor its triangular factor, whose
-# rows or columns have its norms, is rescaled
+# LQ route of `trailing_left_singular_block` takes only a matrix whose largest
+# |entry| is in this narrower window: there neither it nor its L, whose rows
+# have its norms, is rescaled
 LQ_RANGE = (1e-100, 1e100)
 
 
@@ -269,7 +251,7 @@ def trailing_left_singular_block(M, m, overwrite=False):
     the same thread count, so L, and U with it, has the economy SVD's bits.
     M takes the SVD of M itself wherever zgesdd does something else first:
     where its largest |entry| is outside `LQ_RANGE` (zgesdd rescales it;
-    the test also fails on a non-finite, zero or empty M, which `_svd`
+    the test also fails on a non-finite, zero or empty M, which `_numpy_svd`
     rejects naming M's shape), where there is no zgelqf, and for a tall M,
     whose full U spans its left null space.
 
@@ -282,8 +264,8 @@ def trailing_left_singular_block(M, m, overwrite=False):
     benchmark reference was recorded on two.
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
-    if M.shape[0] % m != 0:
-        raise ParameterError(f"block height {m} does not divide {M.shape[0]} rows")
+    if m < 1 or M.shape[0] % m != 0:
+        raise ParameterError(f"block height {m} is not a positive divisor of {M.shape[0]} rows")
     with _one_openblas_thread():
         u = _left_singular_vectors(M, overwrite)
     # W is Fortran-ordered whichever SVD ran, as BlockBaryB's bits need
@@ -295,8 +277,8 @@ def _left_singular_vectors(M, overwrite=False):
     where `trailing_left_singular_block` says."""
     rows, cols = M.shape
     if rows < cols and cols >= 17 * rows // 9 and _zgelqf() is not None and _in_lq_range(M):
-        return _svd(_lq_factor(M, overwrite), b"S", overwrite=True)[0]
-    return _svd(M, b"A" if rows > cols else b"S")[0]
+        return _numpy_svd(_lq_factor(M, overwrite), False)[0]
+    return _numpy_svd(M, rows > cols)[0]
 
 
 def _in_lq_range(M):
@@ -346,6 +328,13 @@ def _householder(routine, M, overwrite, what, name):
     return A
 
 
+# below SMALL_ENTRIES entries (128 KiB, glibc's default mmap threshold) numpy's
+# gufuncs copy their operands cheaply and cost less per call than LAPACK
+# through `ctypes`: `trailing_right_singular_vector` takes R from
+# `np.linalg.qr` there, and from zgeqrf from there on
+SMALL_ENTRIES = 8192
+
+
 def trailing_right_singular_vector(A, overwrite=False):
     """The unit vector c minimizing ||A @ c||_2: the last right singular vector.
 
@@ -358,28 +347,21 @@ def trailing_right_singular_vector(A, overwrite=False):
     R comes from `_zgeqrf`, called as `np.linalg.qr` calls it, on A itself
     or on one Fortran-ordered copy where numpy's QR makes three, and is
     zeroed below the diagonal by `np.triu`, as there; a non-finite entry
-    raises `NumericalError` before zgeqrf is reached.  A tall A with rows x
-    cols^2 up to `SMALL_TALL` and its largest |entry| in `LQ_RANGE` takes
-    the economy SVD of A itself, one numpy call instead of two, with R's
-    bits: zgesdd rescales neither A nor R there.  Best of 5 timeit runs at
-    two threads on a C-ordered A, six runs each, R from `np.linalg.qr`
-    against this function, in us: 20 x 1 22-28 against 19-20, 100 x 2
-    23-26 against 22-24, 400 x 4 33-37 against 34-37 (the same route),
-    2000 x 16 656-755 against 342-421.
+    raises `NumericalError` before zgeqrf is reached.
 
     By default A is left as it was.  With `overwrite=True` a writeable,
-    aligned, Fortran-contiguous complex A may be destroyed by zgeqrf or
-    zgesdd; c has the same bits either way.
+    aligned, Fortran-contiguous complex A that zgeqrf factors may be
+    destroyed; c has the same bits either way.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     rows, cols = A.shape
-    if rows < 17 * cols // 9 or (rows * cols * cols <= SMALL_TALL and _in_lq_range(A)):
-        return _svd(A, b"A" if rows < cols else b"S", overwrite)[2][-1].conj()
+    if rows < 17 * cols // 9:
+        return _numpy_svd(A, rows < cols)[2][-1].conj()
     if A.size >= SMALL_ENTRIES and _zgeqrf() is not None:
         R = np.triu(_householder(_zgeqrf(), _svd_input(A), overwrite, "QR factorization", "zgeqrf")[:cols])
     else:
         R = np.linalg.qr(A, mode="r")
-    return _svd(R, b"S", overwrite=True)[2][-1].conj()
+    return _numpy_svd(R, False)[2][-1].conj()
 
 
 def lstsq(A, B, overwrite=False):

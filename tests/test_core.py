@@ -102,6 +102,11 @@ class TestSampleSet:
         with pytest.raises(ParameterError):
             s.subset(indices)
 
+    @pytest.mark.parametrize("indices", [[], (), np.zeros(3, dtype=bool)], ids=["list", "tuple", "mask"])
+    def test_empty_subset_is_a_parameter_error(self, indices):
+        with pytest.raises(ParameterError, match="at least one point"):
+            SampleSet([1j, 2j, 3j], [1.0, 2.0, 3.0]).subset(indices)
+
 
 class TestDistinct:
     @pytest.mark.parametrize("x", [

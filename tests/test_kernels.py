@@ -157,6 +157,32 @@ class TestSvdFull:
         with pytest.raises(ParameterError):
             svd_full(np.zeros((0, 3)))
 
+    def test_only_svd_full_reaches_zgesdd(self, monkeypatch):
+        """Every other SVD is numpy's, with its bytes, on shapes that once took zgesdd."""
+        zgesdd = kernels._zgesdd()
+        if zgesdd is None:
+            pytest.skip("numpy's linalg has no bundled OpenBLAS with zgesdd")
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0])
+            zgesdd(*args)
+
+        monkeypatch.setattr(kernels, "_zgesdd", lambda: spy)
+        M = _complex_normal(20, 250, 500)
+        assert singular_values(M).tobytes() == np.linalg.svd(M, compute_uv=False).tobytes()
+        for shape in [(100, 90), (90, 100)]:
+            A = _complex_normal(21, *shape)
+            want = np.linalg.svd(A, full_matrices=shape[0] < shape[1])[2][-1].conj()
+            assert trailing_right_singular_vector(A).tobytes() == want.tobytes()
+        for M in [_complex_normal(22, 40, 6), _complex_normal(23, 6, 40) * 1e150]:  # tall, and wide outside LQ_RANGE
+            with kernels._one_openblas_thread():
+                u = np.linalg.svd(M, full_matrices=M.shape[0] > M.shape[1])[0]
+            assert trailing_left_singular_block(M, 2).tobytes() == (u[:, -2:].conj().T / np.sqrt(2)).tobytes()
+        assert calls == []
+        svd_full(M)
+        assert calls == [b"A", b"A"]  # the workspace query, then the SVD
+
     def test_nonzero_info_raises(self, monkeypatch):
         zgesdd = kernels._zgesdd()
         if zgesdd is None:
@@ -209,6 +235,15 @@ class TestTrailingLeftSingularBlock:
     def test_nondividing_height_rejected(self):
         with pytest.raises(ParameterError):
             trailing_left_singular_block(np.eye(5), 2)
+
+    @pytest.mark.parametrize("m", [0, -1, -2])
+    def test_height_below_one_rejected_before_the_svd(self, monkeypatch, m):
+        def unreachable(*args):
+            raise AssertionError("SVD reached")
+
+        monkeypatch.setattr(kernels, "_left_singular_vectors", unreachable)
+        with pytest.raises(ParameterError, match=f"block height {m} "):
+            trailing_left_singular_block(_complex_normal(24, 4, 6), m)
 
     @pytest.mark.parametrize("shape, m", [((6, 40), 2), ((4, 9), 1), ((9, 4), 3), ((12, 5), 4), ((6, 6), 2)])
     def test_orthonormal_rows_and_trailing_energy(self, shape, m):
@@ -321,7 +356,7 @@ class TestOneThreadWeightSvd:
         def failing_svd(*args):
             raise NumericalError("SVD did not converge")
 
-        monkeypatch.setattr(kernels, "_svd", failing_svd)
+        monkeypatch.setattr(kernels, "_numpy_svd", failing_svd)
         with pytest.raises(NumericalError):
             trailing_left_singular_block(np.ones((4, 6)), 2)
         assert _openblas_count(setter) == before
@@ -526,7 +561,7 @@ class TestLqRoute:
     @pytest.mark.parametrize("bad", [np.inf, complex(-np.inf, np.nan)])
     def test_infinite_entry_is_the_svd_error(self, monkeypatch, bad):
         # zgesdd scales an infinite M by zero and returns NaN without an error;
-        # `_svd` raises before it is reached, as it does on a NaN entry
+        # `_numpy_svd` raises before it is reached, as it does on a NaN entry
         calls = _lq_spy(monkeypatch)
         M = _complex_normal(9, 4, 20)
         M[1, 3] = bad
@@ -727,24 +762,24 @@ def _r_first(A):
 
 
 def _route_spy(monkeypatch):
-    """Records ("qr", shape) for each A that zgeqrf factors and ("svd", shape) for each SVD `_svd` takes."""
+    """Records ("qr", shape) for each A that zgeqrf factors and ("svd", shape) for each SVD `_numpy_svd` takes."""
     calls = []
-    householder, svd = kernels._householder, kernels._svd
+    householder, svd = kernels._householder, kernels._numpy_svd
     monkeypatch.setattr(kernels, "_householder", lambda routine, M, *args: calls.append(("qr", M.shape)) or householder(routine, M, *args))
-    monkeypatch.setattr(kernels, "_svd", lambda M, jobz, overwrite=False: calls.append(("svd", np.shape(M))) or svd(M, jobz, overwrite))
+    monkeypatch.setattr(kernels, "_numpy_svd", lambda M, *args: calls.append(("svd", np.shape(M))) or svd(M, *args))
     return calls
 
 
-# (rows, cols) on either side of each cut: MNTHR1 = floor(17 cols / 9),
-# SMALL_TALL on rows x cols^2 and SMALL_ENTRIES on rows x cols
+# (rows, cols) on either side of each cut: MNTHR1 = floor(17 cols / 9) and
+# SMALL_ENTRIES on rows x cols; 800 x 1 to 89 x 3 are small tall matrices
 EDGES = [(2, 2), (3, 2), (29, 16), (30, 16),
          (800, 1), (801, 1), (200, 2), (201, 2), (88, 3), (89, 3), (50, 4), (51, 4),
          (8191, 1), (8192, 1), (2047, 4), (2048, 4), (511, 16), (512, 16)]
 
 
-def _route(rows, cols, in_range=True):
+def _route(rows, cols):
     """The calls `_route_spy` records for an A of this shape."""
-    if rows < 17 * cols // 9 or (rows * cols * cols <= kernels.SMALL_TALL and in_range):
+    if rows < 17 * cols // 9:
         return [("svd", (rows, cols))]
     return ([("qr", (rows, cols))] if rows * cols >= kernels.SMALL_ENTRIES else []) + [("svd", (cols, cols))]
 
@@ -774,7 +809,7 @@ class TestTrailingRightRoutes:
             got = trailing_right_singular_vector(A)
         assert got.tobytes() == want.tobytes()
         assert A.tobytes() == before.tobytes()
-        assert calls == _route(rows, cols, in_range=log10_scale == 0)
+        assert calls == _route(rows, cols)
 
     @pytest.mark.parametrize("make", [
         lambda: _complex_normal(33, 600, 16),
@@ -791,11 +826,12 @@ class TestTrailingRightRoutes:
 
     @pytest.mark.parametrize("shape", [(600, 16), (100, 90), (90, 100)], ids=["zgeqrf", "economy SVD", "wide"])
     def test_overwrite_destroys_a_fortran_ordered_complex_A(self, shape):
+        # only zgeqrf factors A in place: numpy's SVD of a shorter A copies it
         A = np.asfortranarray(_complex_normal(34, *shape))
         before = A.copy()
         want = trailing_right_singular_vector(before)
         assert trailing_right_singular_vector(A, overwrite=True).tobytes() == want.tobytes()
-        assert A.tobytes() != before.tobytes()
+        assert (A.tobytes() != before.tobytes()) == (shape == (600, 16))
 
     def test_without_the_library_the_r_is_numpys(self, monkeypatch):
         A = _complex_normal(35, 700, 16)
@@ -1046,7 +1082,7 @@ class TestSingularValues:
         st.integers(0, 2**32 - 1),
     )
     def test_bytes_of_numpy_svd(self, kind, side, other, log10_scale, seed):
-        """zgesdd with JOBZ = 'N' from SMALL_ENTRIES entries on, np.linalg.svd below: its bytes either way."""
+        """The bytes of `np.linalg.svd(M, compute_uv=False)` at every size."""
         rows, cols = {"square": (side, side), "tall": (side + other, side), "wide": (side, side + other)}[kind]
         M = _complex_normal(seed, rows, cols) * 10.0**log10_scale
         assert singular_values(M).tobytes() == np.linalg.svd(M, compute_uv=False).tobytes()
