@@ -206,6 +206,7 @@ def run_sweep(problem, methods, orders, tol=1e-13, iters=5, seed=0, repeats=20,
     the clean truth when `against_truth` is set and a truth function exists.
     Raises ParameterError, before any fit, on an unknown method or repeats < 1.
     """
+    methods, orders = list(methods), list(orders)  # each is read more than once
     for method in methods:
         if method not in _FITTERS:
             raise ParameterError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
@@ -300,6 +301,8 @@ def main(argv=None):
 
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     try:
+        if not methods:
+            raise ParameterError(f"--method names no method (choose from {', '.join(METHODS)})")
         if args.problem:
             problem = PROBLEMS[args.problem]()
         else:

@@ -97,7 +97,7 @@ def svd_full(M, overwrite=False):
     M = _svd_input(M)
     rows, cols = M.shape
     k = min(rows, cols)
-    A = M if _writeable_fortran(M, overwrite) else np.array(M, order="F")
+    A = _fortran(M, overwrite)
     s = np.empty(k)
     u, vh = (np.empty((n, n), dtype=complex, order="F") for n in (rows, cols))
     rwork = np.empty(max(5 * k * k + 7 * k, 2 * max(rows, cols) * k + 2 * k * k + k))
@@ -144,9 +144,10 @@ def _lapack(routine, failure, head, tail, query_head=None):
         raise NumericalError(f"{failure} info={info.value}")
 
 
-def _writeable_fortran(M, overwrite):
-    """Whether LAPACK may overwrite M itself: `overwrite` is set and M is writeable, aligned and Fortran-contiguous."""
-    return overwrite and M.flags.f_contiguous and M.flags.writeable and M.flags.aligned
+def _fortran(M, overwrite):
+    """The array LAPACK may write: M itself where `overwrite` is set and M is writeable, aligned and
+    Fortran-contiguous, else one Fortran-ordered copy of M."""
+    return M if overwrite and M.flags.f_contiguous and M.flags.writeable and M.flags.aligned else np.array(M, order="F")
 
 
 @functools.cache
@@ -229,8 +230,9 @@ def _one_openblas_thread():
 # zgesdd rescales a matrix whose largest |entry| is nonzero and below
 # SMLNUM = sqrt(safmin)/eps (about 6.7e-139), or above BIGNUM = 1/SMLNUM.  The
 # LQ route of `trailing_left_singular_block` takes only a matrix whose largest
-# |entry| is in this narrower window: there neither it nor its L, whose rows
-# have its norms, is rescaled
+# |real or imaginary part| p is in this narrower window.  Its largest |entry|
+# lies in [p, sqrt(2) p], some 38 decades inside zgesdd's, so neither M nor its
+# L, whose rows have its norms, is rescaled, and both routes give the same bits
 LQ_RANGE = (1e-100, 1e100)
 
 
@@ -250,10 +252,11 @@ def trailing_left_singular_block(M, m, overwrite=False):
     square L.  `_lq_factor` calls the same zgelqf with the same workspace at
     the same thread count, so L, and U with it, has the economy SVD's bits.
     M takes the SVD of M itself wherever zgesdd does something else first:
-    where its largest |entry| is outside `LQ_RANGE` (zgesdd rescales it;
-    the test also fails on a non-finite, zero or empty M, which `_numpy_svd`
-    rejects naming M's shape), where there is no zgelqf, and for a tall M,
-    whose full U spans its left null space.
+    where its largest |real or imaginary part| is outside `LQ_RANGE` (which
+    keeps clear of where zgesdd rescales; the test also fails on a
+    non-finite, zero or empty M, which `_numpy_svd` rejects naming M's
+    shape), where there is no zgelqf, and for a tall M, whose full U spans
+    its left null space.
 
     M is factored on one OpenBLAS thread (`_one_openblas_thread`), so W has
     the same bits at any thread count, and block-AAA's and the bary-C
@@ -277,54 +280,42 @@ def _left_singular_vectors(M, overwrite=False):
     where `trailing_left_singular_block` says."""
     rows, cols = M.shape
     if rows < cols and cols >= 17 * rows // 9 and _zgelqf() is not None and _in_lq_range(M):
-        return _numpy_svd(_lq_factor(M, overwrite), False)[0]
+        return _numpy_svd(_lq_factor(_fortran(M, overwrite)), False)[0]
     return _numpy_svd(M, rows > cols)[0]
 
 
 def _in_lq_range(M):
-    """Whether M's largest |entry| lies in `LQ_RANGE`.
-
-    Decided from the largest |real or imaginary part| p, which allocates
-    nothing for a contiguous M: the largest |entry| lies between p and
-    sqrt(2) p, so |M| is formed only where p or sqrt(2) p falls in the
-    window and the other does not.  A NaN fails every comparison, and an
-    empty M's p is 0.
-    """
+    """Whether M's largest |real or imaginary part| lies in `LQ_RANGE`, which
+    allocates nothing for a contiguous M.  A NaN fails every comparison, and
+    an empty M's largest part is 0."""
     parts = M.ravel(order="K").view(float)
-    p = np.maximum(parts.max(initial=0), -parts.min(initial=0))
-    low, high = LQ_RANGE
-    if low <= p and np.sqrt(2) * p <= high:
-        return True
-    if p > high or np.sqrt(2) * p < low:
-        return False
-    return bool(low <= np.abs(M).max(initial=0) <= high)
+    return bool(LQ_RANGE[0] <= np.maximum(parts.max(initial=0), -parts.min(initial=0)) <= LQ_RANGE[1])
 
 
-def _lq_factor(M, overwrite=False):
-    """The lower-triangular L of M = L Q, for rows <= cols, by `_zgelqf`: a view of
-    `_householder`'s array with zeros above the diagonal, as zgesdd copies it, written
-    one column at a time, for `np.tril`'s masked copy costs more on the smallest L."""
-    rows = M.shape[0]
-    L = _householder(_zgelqf(), M, overwrite, "LQ factorization", "zgelqf")[:, :rows]
+def _lq_factor(A):
+    """The lower-triangular L of A = L Q, for rows <= cols, by `_zgelqf` over A: a
+    view of A with zeros above the diagonal, as zgesdd copies it, written one
+    column at a time, for `np.tril`'s masked copy costs more on the smallest L."""
+    rows = A.shape[0]
+    L = _householder(_zgelqf(), A, "LQ factorization", "zgelqf")[:, :rows]
     for j in range(1, rows):
         L[:j, j] = 0
     return L
 
 
-def _householder(routine, M, overwrite, what, name):
-    """The array that zgelqf or zgeqrf, `routine`, writes its factorization of M into.
+def _householder(routine, A, what, name):
+    """A, a Fortran-contiguous complex array that zgelqf or zgeqrf, `routine`,
+    overwrites with its factorization of A.
 
     It is called through `_lapack` as zgesdd and `np.linalg.qr` call it, with
-    the optimal workspace, which sets its block size, on a Fortran-ordered
-    copy of the complex M, or with `overwrite` on a writeable, aligned,
-    Fortran-contiguous M itself.  A nonzero INFO raises "`what` failed".
+    the optimal workspace, which sets its block size.  A nonzero INFO raises
+    "`what` failed".
     """
-    rows, cols = M.shape
-    A = M if _writeable_fortran(M, overwrite) else np.array(M, order="F")
+    rows, cols = A.shape
     tau = np.empty(min(rows, cols), dtype=complex)
     m, n = ctypes.c_int64(rows), ctypes.c_int64(cols)
     head = (ctypes.byref(m), ctypes.byref(n), A.ctypes.data, ctypes.byref(m), tau.ctypes.data)
-    _lapack(routine, f"{what} failed for shape {M.shape}: {name}", head, (_INFO,))
+    _lapack(routine, f"{what} failed for shape {A.shape}: {name}", head, (_INFO,))
     return A
 
 
@@ -358,7 +349,7 @@ def trailing_right_singular_vector(A, overwrite=False):
     if rows < 17 * cols // 9:
         return _numpy_svd(A, rows < cols)[2][-1].conj()
     if A.size >= SMALL_ENTRIES and _zgeqrf() is not None:
-        R = np.triu(_householder(_zgeqrf(), _svd_input(A), overwrite, "QR factorization", "zgeqrf")[:cols])
+        R = np.triu(_householder(_zgeqrf(), _fortran(_svd_input(A), overwrite), "QR factorization", "zgeqrf")[:cols])
     else:
         R = np.linalg.qr(A, mode="r")
     return _numpy_svd(R, False)[2][-1].conj()
@@ -396,7 +387,7 @@ def lstsq(A, B, overwrite=False):
     else:
         rows, cols = A.shape
         nrhs = 1 if B.ndim == 1 else B.shape[1]
-        a = A if _writeable_fortran(A, overwrite) else np.array(A, order="F")
+        a = _fortran(A, overwrite)
         b = np.empty((nrhs, max(rows, cols)), dtype=complex).T  # zgelsd writes X over B
         b[:rows] = B.reshape(rows, nrhs)
         s = np.empty(min(rows, cols))
@@ -436,7 +427,7 @@ def _surely_well_conditioned(S):
     3e-4 k, which the factor 100 absorbs.  The blocks are taken in chunks of
     `SCREEN_BYTES`, each block's numbers computed as for the whole stack.
     When `inv` raises on a chunk, on an exactly singular block or on a
-    non-finite one, no block of the stack is cleared.
+    non-finite one, no block of that chunk is cleared.
     """
     N, k = S.shape[:2]
     parts = np.ascontiguousarray(S, dtype=complex).view(float)  # real and imaginary parts side by side
@@ -451,22 +442,19 @@ def _surely_well_conditioned(S):
         cleared = np.empty(N, dtype=bool)
         step = max(1, SCREEN_BYTES // (16 * max(k, 1) ** 2))
         for i in range(0, N, step):
-            chunk = _inverse_clears(parts[i : i + step], scale[i : i + step])
-            if chunk is None:
-                return np.zeros(N, dtype=bool)
-            cleared[i : i + step] = chunk
+            cleared[i : i + step] = _inverse_clears(parts[i : i + step], scale[i : i + step])
         return cleared
 
 
 def _inverse_clears(parts, scale):
     """Which blocks of a stack, given as real parts and each block's scale, the
-    inverse of the scaled blocks clears; None where `inv` raises."""
+    inverse of the scaled blocks clears; none where `inv` raises."""
     A = (parts * scale).view(complex)
     fro2 = _fro2(A)
     try:
         Y = np.linalg.inv(A)
     except np.linalg.LinAlgError:
-        return None
+        return np.zeros(len(A), dtype=bool)
     fro2 *= _fro2(Y)
     E = A @ Y
     del A, Y  # each as large as the chunk: freed once their norms are read

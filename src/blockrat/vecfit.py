@@ -134,6 +134,8 @@ def vf_matrix(samples, d, opts=VfOptions()):
     Raises NumericalError when a final pole lies on a sample point, where the
     model could not be evaluated.
     """
+    if d < 0:
+        raise ParameterError("degree must be >= 0")
     if samples.ell < 2 * d + 1:
         raise ParameterError(f"need at least {2 * d + 1} samples for degree {d}")
     points, values = samples.points, samples.values

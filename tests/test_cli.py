@@ -211,6 +211,15 @@ class TestRunSweep:
         b = run_sweep(toy2, ["set-valued-aaa", "rkfit"], [4], repeats=1, seed=3)
         assert [r.rmse for r in a] == [r.rmse for r in b]
 
+    def test_generators_of_methods_and_orders_run_every_cell(self, toy1, monkeypatch):
+        fitted = []
+        for m in ("vf", "loewner"):
+            monkeypatch.setitem(cli._FITTERS, m, lambda samples, order, m=m, **kw: fitted.append((m, order)))
+        records = run_sweep(toy1, (m for m in ["vf", "loewner"]), (d for d in [2, 3]), repeats=1)
+        cells = [("vf", 2), ("vf", 3), ("loewner", 2), ("loewner", 3)]
+        assert fitted == cells
+        assert [(r.method, r.order) for r in records] == cells
+
     @pytest.mark.parametrize("methods, kwargs, message", [
         (["vf", "nope"], {}, "unknown method 'nope'"),
         (["vf"], {"repeats": 0}, "repeats must be >= 1, got 0"),
@@ -298,6 +307,15 @@ class TestMain:
             main(["--problem", "toy1", "--method", "nope", "--orders", "3", "--repeats", "1"])
         assert exc.value.code == 2
         assert "unknown method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", [",", "", " , "])
+    def test_no_method_is_a_usage_error(self, capsys, method):
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "toy1", "--method", method, "--orders", "3", "--repeats", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--method names no method" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("orders, method, message", [
         ("x", "loewner", "neither an order nor a range"),

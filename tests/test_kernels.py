@@ -491,7 +491,7 @@ def _lq_spy(monkeypatch):
     """Records the shape of each M that `_lq_factor`, so the LQ route, factors."""
     calls = []
     lq_factor = kernels._lq_factor
-    monkeypatch.setattr(kernels, "_lq_factor", lambda M, overwrite=False: calls.append(M.shape) or lq_factor(M, overwrite))
+    monkeypatch.setattr(kernels, "_lq_factor", lambda A: calls.append(A.shape) or lq_factor(A))
     return calls
 
 
@@ -549,6 +549,20 @@ class TestLqRoute:
         want = _economy_u_on_one_thread(M)[:, -2:].conj().T / np.sqrt(2)
         assert trailing_left_singular_block(M, 2).tobytes() == want.tobytes()
         assert calls == ([(6, 40)] if lq else [])
+
+    @pytest.mark.parametrize("rows, cols", [(2, 3), (6, 40), (16, 400), (32, 970)])
+    @pytest.mark.parametrize("part, lq", [(0.8 * kernels.LQ_RANGE[0], False), (0.9 * kernels.LQ_RANGE[1], True)])
+    def test_the_sqrt2_band_takes_the_route_of_its_largest_part(self, monkeypatch, rows, cols, part, lq):
+        # the largest |part| just outside (low) or inside (high) the window and the
+        # largest |entry| sqrt(2) times it across the edge: neither route rescales
+        calls = _lq_spy(monkeypatch)
+        M = _complex_normal(rows * cols, rows, cols)
+        M *= part / np.abs(M.view(float)).max()
+        M[rows // 2, cols // 3] = part * (1 + 1j)
+        assert (kernels.LQ_RANGE[0] <= np.abs(M).max() <= kernels.LQ_RANGE[1]) != lq
+        want = _economy_u_on_one_thread(M)[:, -1:].conj().T / np.sqrt(1)
+        assert trailing_left_singular_block(M, 1).tobytes() == want.tobytes()
+        assert calls == ([(rows, cols)] if lq else [])
 
     def test_nan_entry_is_the_svd_error(self, monkeypatch):
         calls = _lq_spy(monkeypatch)
@@ -634,25 +648,26 @@ LAYOUTS = {
 
 
 class TestLqRangeCheck:
-    """`_in_lq_range` is the test `LOW <= max|M| <= HIGH`, without forming |M| away from the edges."""
+    """`_in_lq_range` is the test `LOW <= p <= HIGH` on the largest |real or imaginary part| p, without forming |M|."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([-100, 100]), st.floats(-1, 1), st.booleans())
     def test_is_the_exact_test(self, seed, edge, offset, fortran):
-        # the largest |entry| within a factor 10 of either edge of the window
+        # the largest |part| within a factor 10 of either edge of the window
         M = _complex_normal(seed, 5, 12) * 10.0 ** (edge + offset)
         if fortran:
             M = np.asfortranarray(M)
         low, high = kernels.LQ_RANGE
-        assert kernels._in_lq_range(M) == (low <= np.abs(M).max() <= high)
+        assert kernels._in_lq_range(M) == (low <= max(np.abs(M.real).max(), np.abs(M.imag).max()) <= high)
 
     @pytest.mark.parametrize("edge", [0, 1])
     def test_sqrt2_band(self, edge):
-        # a part just inside the window; the entry a (1 + i) is sqrt(2) a, and a alone is a
+        # a part a just outside (low) or on (high) the window: the entry a (1 + i),
+        # sqrt(2) a, goes where a alone goes, although its |entry| crosses the edge
         bound = kernels.LQ_RANGE[edge]
         a = bound * (0.8 if edge == 0 else 1.0)
         diagonal, real = np.full((2, 8), a * (1 + 1j)), np.full((2, 8), a + 0j)
-        assert kernels._in_lq_range(diagonal) == (edge == 0)
+        assert kernels._in_lq_range(diagonal) == (edge == 1)
         assert kernels._in_lq_range(real) == (edge == 1)
 
     @pytest.mark.parametrize("make", [lambda M: M, np.asfortranarray])
@@ -1004,7 +1019,11 @@ class TestKxkScreen:
         T = rng.normal(size=(20, k, 2)) + 1j * rng.normal(size=(20, k, 2))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(S)
-        assert not _surely_well_conditioned(S).any()
+        # the singular block's chunk clears nothing, and every other chunk its easy blocks
+        step = max(1, kernels.SCREEN_BYTES // (16 * k * k))
+        chunk = np.arange(20) // step == 7 // step
+        cleared = _surely_well_conditioned(S)
+        assert not cleared[chunk].any() and cleared[~chunk].all()
         X = solve_checked(S, T)
         assert X.tobytes() == cond_then_solve(S, T).tobytes()
         assert np.isnan(X[7]).all() and not np.isnan(np.delete(X, 7, axis=0)).any()
@@ -1043,13 +1062,21 @@ class TestKxkScreen:
 
     @pytest.mark.parametrize("k", [3, 15])
     def test_a_singular_block_in_a_later_chunk_clears_nothing(self, monkeypatch, k):
+        """Nothing in its own chunk, whose blocks alone reach `np.linalg.cond`:
+        the chunks before and after it clear their easy blocks."""
         rng = np.random.default_rng(400 + k)
         S = _blocks_of_known_condition(rng, k, rng.uniform(0, 10, 50), rng.uniform(-300, 300, 50))
         S[37] = np.diag(np.arange(k) > 0).astype(complex)  # a zero pivot: inv raises for its chunk
-        monkeypatch.setattr(kernels, "SCREEN_BYTES", 10 * 16 * k * k)
-        assert not _surely_well_conditioned(S).any()
         T = rng.normal(size=(50, k, 2)) + 1j * rng.normal(size=(50, k, 2))
-        assert solve_checked(S, T).tobytes() == cond_then_solve(S, T).tobytes()
+        want = cond_then_solve(S, T)
+        monkeypatch.setattr(kernels, "SCREEN_BYTES", 10 * 16 * k * k)
+        cleared = _surely_well_conditioned(S)
+        assert not cleared[30:40].any() and np.delete(cleared, np.s_[30:40]).all()
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda M, *args: calls.append(M.shape) or cond(M, *args))
+        assert solve_checked(S, T).tobytes() == want.tobytes()
+        assert calls == [(10, k, k)]
 
     def test_partial_pivoting_worst_case(self):
         """k = 15 with growth 2^14, as it is and moved to condition numbers around the limits."""

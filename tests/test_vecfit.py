@@ -81,6 +81,15 @@ class TestVfScalar:
         with pytest.raises(ParameterError):
             vf_scalar(pts, np.ones(4), 2)
 
+    @pytest.mark.parametrize("d", [-1, -2])
+    @pytest.mark.parametrize("opts", [VfOptions(), VfOptions(initial_poles=np.zeros(0))], ids=["default", "no-poles"])
+    def test_negative_degree_rejected(self, d, opts):
+        pts = logspace_imaginary(1, 10, 20)
+        with pytest.raises(ParameterError, match="degree must be >= 0"):
+            vf_scalar(pts, 1.0 / (pts + 2), d, opts)
+        with pytest.raises(ParameterError, match="degree must be >= 0"):
+            vf_matrix(SampleSet(pts, np.ones((20, 2, 3))), d, opts)
+
 
 class TestVfMatrix:
     def test_diagonal_equal_entries_match_scalar_poles(self):
